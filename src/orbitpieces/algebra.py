@@ -9,7 +9,7 @@ sets containing the identity, closed under conjugation by every group element.
 The ordering is the deterministic first-seen order of the closure scan: seeds
 first (in input order), then conjugates discovered by scanning members in
 order against elements in index order, with the full group kept out of the
-middle of the list and appended last when requested.
+middle of the list and appended last.
 """
 
 from __future__ import annotations
@@ -231,11 +231,14 @@ def subgroup_closure(seed: int, g: Group) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class NeighborhoodFamily:
-    """Ordered conjugation-closed family of symmetric identity neighbourhoods."""
+class SetFamily:
+    """Ordered duplicate-free family of bitmask sets with its full set last.
+
+    Both basis families of an instance use it: translation-closed point sets
+    (U) and conjugation-closed identity neighbourhoods (V).
+    """
 
     members: tuple[int, ...]
-    full_appended: bool
     _index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -254,22 +257,18 @@ class NeighborhoodFamily:
         return self._index[mask]
 
 
-def close_neighborhood_family(
-    seeds, g: Group, append_full: bool = True
-) -> NeighborhoodFamily:
+def close_neighborhood_family(seeds, g: Group) -> SetFamily:
     """Symmetrize the seeds and close under conjugation by every element.
 
-    Deterministic first-seen order; the full group is appended last when
-    ``append_full`` is set (and is then never kept mid-list).
+    Deterministic first-seen order; the full group is never kept mid-list and
+    is appended last.
     """
     full = g.full
     ordered: list[int] = []
     seen: set[int] = set()
 
     def push(m: int) -> None:
-        if m in seen:
-            return
-        if append_full and m == full:
+        if m in seen or m == full:
             return
         seen.add(m)
         ordered.append(m)
@@ -282,9 +281,8 @@ def close_neighborhood_family(
         for h in range(g.order):
             push(conjugate(v, h, g))
         i += 1
-    if append_full:
-        ordered.append(full)
-    return NeighborhoodFamily(tuple(ordered), append_full)
+    ordered.append(full)
+    return SetFamily(tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

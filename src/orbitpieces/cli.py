@@ -158,7 +158,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_pieces(args) -> int:
     inst = _instance(args)
-    table = analyze(inst, workers=args.workers)
+    table = analyze(inst)
     level = _parse_level(args.level)
     if args.x is not None:
         result = piece(table, args.x, args.u, args.v, level)
@@ -175,7 +175,7 @@ def _cmd_pieces(args) -> int:
 
 def _cmd_rank(args) -> int:
     inst = _instance(args)
-    table = analyze(inst, workers=args.workers)
+    table = analyze(inst)
     if args.x is not None:
         r = scott_rank(table, args.x)
         _emit(args, {"rank": r, "stabilization": table.stabilization}, [str(r)])
@@ -196,7 +196,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_topology(args) -> int:
     inst = _instance(args)
-    table = analyze(inst, workers=args.workers)
+    table = analyze(inst)
     level = _parse_level(args.level)
     fam = refined_family(table, args.x, level)
     ground, topo = refined_space(table, args.x, level)
@@ -216,11 +216,8 @@ def _cmd_topology(args) -> int:
 
 def _cmd_relpieces(args) -> int:
     inst = _instance(args)
-    table = analyze(inst, workers=args.workers)
-    rel = relative_pieces(
-        table, args.x, args.level_int, args.gamma, args.x2, args.u, args.v,
-        workers=args.workers,
-    )
+    table = analyze(inst)
+    rel = relative_pieces(table, args.x, args.level_int, args.gamma, args.x2, args.u, args.v)
     rows = []
     for y in bits(rel.d_parent):
         ys = rel.to_sub_point(y)
@@ -254,7 +251,7 @@ def _cmd_relpieces(args) -> int:
 
 def _cmd_openmap(args) -> int:
     inst = _instance(args)
-    table = analyze(inst, workers=args.workers)
+    table = analyze(inst)
     level = _parse_level(args.level)
     ok, witness = open_map_check(table, args.x, level)
     payload = {"open": ok, "witness": witness}
@@ -264,7 +261,7 @@ def _cmd_openmap(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = _instance(args)
-    table = analyze(inst, workers=args.workers)
+    table = analyze(inst)
     if args.kind == "eventual-openness":
         verdict, witnesses = eventual_openness(inst)
         payload = {"eventually_open": verdict, "witnesses": witnesses}
@@ -294,9 +291,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _instance(args)
-    entries = run_oracles(
-        inst, args.suite, seed=args.seed, trials=args.trials, workers=args.workers
-    )
+    entries = run_oracles(inst, args.suite, seed=args.seed, trials=args.trials)
     if args.json:
         print(json.dumps(entries, sort_keys=True, indent=2))
     else:
@@ -332,9 +327,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_report(args) -> int:
     inst = _instance(args)
-    doc = build_analysis(
-        inst, workers=args.workers, seed=args.seed, trials=args.trials, suite=args.suite
-    )
+    doc = build_analysis(inst, seed=args.seed, trials=args.trials, suite=args.suite)
     text = serialize_analysis(doc)
     if args.out:
         with open(args.out, "w") as fh:
@@ -350,15 +343,13 @@ def _cmd_report(args) -> int:
 # parser
 
 
-def _add_common(sub, *, instance=True, workers=False):
+def _add_common(sub, *, instance=True):
     if instance:
         sub.add_argument("--instance", required=True,
                          help="built-in instance name or document path")
         sub.add_argument("--mode-override", choices=("strict", "exploratory"))
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--text", action="store_true", help="human-readable output (default)")
-    if workers:
-        sub.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_transform)
 
     p = subs.add_parser("pieces", help="piece partition of a cell, or one piece")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--level", required=True, help="level >= 1 or 'stable'")
@@ -415,18 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pieces)
 
     p = subs.add_parser("rank", help="generalized ranks and the stable partition")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--x", type=int)
     p.set_defaults(fn=_cmd_rank)
 
     p = subs.add_parser("topology", help="refined family and generated topology")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--level", required=True)
     p.set_defaults(fn=_cmd_topology)
 
     p = subs.add_parser("relpieces", help="re-analysis of the refined subspace")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--level", dest="level_int", type=int, required=True,
                    help="parent level alpha >= 2")
@@ -437,19 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_relpieces)
 
     p = subs.add_parser("openmap", help="relative openness of g -> g.x")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--level", required=True)
     p.set_defaults(fn=_cmd_openmap)
 
     p = subs.add_parser("check", help="eventual openness / classification report")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--kind", required=True, choices=("eventual-openness", "claschar"))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_check)
 
     p = subs.add_parser("oracle", help="run differential oracle suites")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int)
@@ -465,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = subs.add_parser("report", help="full analysis document with oracle log")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int)
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
@@ -475,10 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Point and family indices; Python would read a negative one from the end.
+_INDEX_ARGS = ("u", "v", "x", "x2")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _INDEX_ARGS:
+            if (getattr(args, name, None) or 0) < 0:
+                raise InstanceFormatError(f"--{name} must be a non-negative index")
         return args.fn(args)
     except (InstanceFormatError, InstanceError, GroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,11 +17,11 @@ Modes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     Group,
-    NeighborhoodFamily,
+    SetFamily,
     all_subgroups,
     close_neighborhood_family,
     cyclic_group,
@@ -41,36 +41,12 @@ class InstanceError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class SetFamily:
-    """Ordered translation-closed family of point sets, full space last."""
-
-    members: tuple[int, ...]
-    full_appended: bool
-    _index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._index.update({m: i for i, m in enumerate(self.members)})
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> int:
-        return self.members[i]
-
-    def index(self, mask: int) -> int:
-        return self._index[mask]
-
-
-@dataclass(frozen=True, eq=False)
 class ActionInstance:
     group: Group
     size: int
     act: tuple[tuple[int, ...], ...]
     basisU: SetFamily
-    basisV: NeighborhoodFamily
+    basisV: SetFamily
     mode: str
     name: str = ""
 
@@ -147,10 +123,10 @@ def _close_point_family(seeds, rows, order: int, size: int) -> SetFamily:
             push(m)
         i += 1
     ordered.append(full)
-    return SetFamily(tuple(ordered), True)
+    return SetFamily(tuple(ordered))
 
 
-def _check_strict(size: int, basisU: SetFamily, basisV: NeighborhoodFamily) -> None:
+def _check_strict(size: int, basisU: SetFamily, basisV: SetFamily) -> None:
     membersU = set(basisU.members)
     for x in range(size):
         if (1 << x) not in membersU:
@@ -177,7 +153,7 @@ def build_instance(
         raise InstanceError(f"unknown mode {mode!r}")
     rows = _validate_action(group, size, act)
     basisU = _close_point_family(seedsU, rows, group.order, size)
-    basisV = close_neighborhood_family(seedsV, group, append_full=True)
+    basisV = close_neighborhood_family(seedsV, group)
     if mode == "strict":
         _check_strict(size, basisU, basisV)
     return ActionInstance(group, size, rows, basisU, basisV, mode, name)
@@ -212,8 +188,8 @@ def instance_from_families(
         raise InstanceError("V-family must end with the full group")
     if len(set(membersU)) != len(membersU) or len(set(membersV)) != len(membersV):
         raise InstanceError("families must be duplicate-free")
-    basisU = SetFamily(membersU, True)
-    basisV = NeighborhoodFamily(membersV, True)
+    basisU = SetFamily(membersU)
+    basisV = SetFamily(membersV)
     if mode == "strict":
         _check_strict(size, basisU, basisV)
     if require_translation_closed:

@@ -151,7 +151,10 @@ def parse_instance(document) -> ActionInstance:
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"bad space description: {exc}") from None
 
-    def seeds_of(section) -> list[int]:
+    def seeds_of(key: str) -> list[int]:
+        section = doc[key]
+        if not isinstance(section, dict):
+            raise InstanceFormatError(f"{key} must be an object with a seeds list")
         raw = section.get("seeds", [])
         if not isinstance(raw, list):
             raise InstanceFormatError("seeds must be a list of index arrays")
@@ -161,8 +164,8 @@ def parse_instance(document) -> ActionInstance:
         group,
         size,
         action,
-        seeds_of(doc["basisU"]),
-        seeds_of(doc["basisV"]),
+        seeds_of("basisU"),
+        seeds_of("basisV"),
         doc["mode"],
         name=str(doc.get("name", "")),
     )
@@ -986,7 +989,6 @@ def run_oracles(
     seed: int = 0,
     trials: int | None = None,
     table: PieceTable | None = None,
-    workers: int = 1,
 ) -> list[dict]:
     """Run one differential suite (or all of them) and return the log.
 
@@ -998,7 +1000,7 @@ def run_oracles(
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}")
     if table is None:
-        table = analyze(inst, workers=workers)
+        table = analyze(inst)
     ctx = _Ctx(inst, table, seed, trials if trials is not None else DEFAULT_TRIALS)
     tokens = SUITES if suite == "all" else (suite,)
     for token in tokens:
@@ -1014,20 +1016,18 @@ def run_oracles(
 
 def _signature_entry(sig) -> dict:
     if sig.level == 1:
-        return {"level": 1, "entries": sorted(sig.entries)}
-    entries = sorted(sig.entries, key=lambda t: (t[1], t[2], t[0]))
-    return {"level": sig.level, "entries": [list(t) for t in entries]}
+        return {"level": 1, "entries": list(sig.canonical())}
+    return {"level": sig.level, "entries": [list(t) for t in sig.canonical()]}
 
 
 def build_analysis(
     inst: ActionInstance,
-    workers: int = 1,
     seed: int = 0,
     trials: int | None = None,
     suite: str = "all",
 ) -> dict:
     """The full analysis document: piece table, ranks, classification, oracle log."""
-    table = analyze(inst, workers=workers)
+    table = analyze(inst)
     levels = []
     for lvl in range(1, table.stabilization + 1):
         cells = []
@@ -1044,7 +1044,7 @@ def build_analysis(
             )
         levels.append({"level": lvl, "cells": cells})
     used = {pid for data in table.levels for blocks in data for pid, _ in blocks}
-    log = run_oracles(inst, suite, seed=seed, trials=trials, table=table, workers=workers)
+    log = run_oracles(inst, suite, seed=seed, trials=trials, table=table)
     return {
         "schema": ANALYSIS_SCHEMA,
         "instance": instance_to_dict(inst),

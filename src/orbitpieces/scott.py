@@ -11,53 +11,30 @@ and labelled level after level.
 Partitions refine downward and the successor table is a function of the
 current table, so the first level whose partitions equal the next level's is
 a genuine fixpoint; that level is the stabilization L.  Piece ids are content
-hashes of the canonical signature encoding, hence stable across runs, worker
-counts, and instances.
+hashes of the canonical signature encoding, hence stable across runs and
+instances.  The engine is a plain single-threaded loop over cells and keeps no
+state between analyses.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from hashlib import blake2b
 
 from .bits import bits, is_subset
 from .gspace import ActionInstance, orbit, translate_set
 from .algebra import conjugate
 from .saturation import cached_reach, orbit_partition, reach_common
 
-WORKER_ENV_VAR = "ORBITPIECES_MAX_WORKERS"
 
-
-class _StableLevel:
-    """Sentinel for 'any level at or beyond stabilization'; greater than every int."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class _Stable:
+    """Sentinel for 'any level at or beyond stabilization'."""
 
     def __repr__(self):
         return "STABLE"
 
-    def __gt__(self, other):
-        return not isinstance(other, _StableLevel)
 
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _StableLevel)
-
-
-STABLE = _StableLevel()
+STABLE = _Stable()
 
 
 @dataclass(frozen=True)
@@ -71,28 +48,6 @@ class Signature:
         if self.level == 1:
             return tuple(sorted(self.entries))
         return tuple(sorted(self.entries, key=lambda t: (t[1], t[2], t[0])))
-
-
-_SIG_LOCK = threading.Lock()
-_SIG_IDS: dict[str, str] = {}
-_SIG_PAYLOADS: dict[str, str] = {}
-
-
-def _intern_signature(payload: str) -> str:
-    got = _SIG_IDS.get(payload)
-    if got is not None:
-        return got
-    pid = hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
-    with _SIG_LOCK:
-        known = _SIG_PAYLOADS.get(pid)
-        if known is None:
-            _SIG_PAYLOADS[pid] = payload
-            _SIG_IDS[payload] = pid
-        elif known != payload:
-            raise RuntimeError(f"piece-id hash collision on {pid}")
-        else:
-            _SIG_IDS[payload] = pid
-    return pid
 
 
 def _encode_level1(indices: tuple[int, ...]) -> str:
@@ -120,7 +75,7 @@ class PieceTable:
 
     def resolve_level(self, level) -> int:
         """Clamp a requested level (int or STABLE) to a stored table index ≥ 1."""
-        if isinstance(level, _StableLevel):
+        if level is STABLE:
             return self.stabilization
         if not isinstance(level, int) or level < 0:
             raise ValueError(f"bad level {level!r}")
@@ -134,20 +89,6 @@ class PieceTable:
         return self.levels[lvl - 1][self.cell_index(u_idx, v_idx)]
 
 
-def _effective_workers(workers: int) -> int:
-    cap = os.environ.get(WORKER_ENV_VAR)
-    if cap is not None:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
-
-
-def _map_cells(func, n_cells: int, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, range(n_cells)))
-    return [func(ci) for ci in range(n_cells)]
-
-
 def _group_blocks(labelled) -> list[tuple[str, int]]:
     """Merge (pid, mask) pairs by pid, order blocks by least point."""
     merged: dict[str, int] = {}
@@ -158,32 +99,54 @@ def _group_blocks(labelled) -> list[tuple[str, int]]:
     return out
 
 
-def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level, workers: int = 1):
+def _label_cells(cell_orbits, key_of, encode):
+    """Label every orbit of every cell with the content hash of its signature.
+
+    ``key_of(orbit)`` is the orbit's signature as a sorted tuple and
+    ``encode(key)`` its payload.  Ids are memoised for this one level; a new
+    payload whose id is already taken is a hash collision.  Returns the
+    level's blocks per cell and the new ids with their keys.
+    """
+    ids: dict[tuple, str] = {}
+    keys: dict[str, tuple] = {}
+    data = []
+    for parts in cell_orbits:
+        labelled = []
+        for part in parts:
+            key = key_of(part)
+            pid = ids.get(key)
+            if pid is None:
+                pid = blake2b(encode(key).encode(), digest_size=8).hexdigest()
+                if pid in keys:
+                    raise RuntimeError(f"piece-id hash collision on {pid}")
+                ids[key] = pid
+                keys[pid] = key
+            labelled.append((pid, part))
+        data.append(_group_blocks(labelled))
+    return data, keys
+
+
+def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level):
     """One refinement step: label every cell's orbits against the previous level.
 
     Returns (level_data, new_signatures).  Exposed separately so the oracle
     suites and the stabilization-bound check can re-run single steps.
     """
-    new_sigs: dict[str, Signature] = {}
 
-    def one_cell(ci: int):
-        labelled = []
-        for part in cell_orbits[ci]:
-            triples = []
-            for cj, (n2, m2) in enumerate(cells):
-                for pid, mask in prev_level[cj]:
-                    if part & mask:
-                        triples.append((n2, m2, pid))
-            triples.sort()
-            pid = _intern_signature(_encode_successor(triples))
-            if pid not in new_sigs:
-                new_sigs[pid] = Signature(
-                    0, frozenset((p, n2, m2) for (n2, m2, p) in triples)
-                )
-            labelled.append((pid, part))
-        return _group_blocks(labelled)
+    def triples_of(part: int) -> tuple:
+        triples = []
+        for cj, (n2, m2) in enumerate(cells):
+            for pid, mask in prev_level[cj]:
+                if part & mask:
+                    triples.append((n2, m2, pid))
+        triples.sort()
+        return tuple(triples)
 
-    data = _map_cells(one_cell, len(cells), workers)
+    data, keys = _label_cells(cell_orbits, triples_of, _encode_successor)
+    new_sigs = {
+        pid: Signature(0, frozenset((p, n2, m2) for (n2, m2, p) in triples))
+        for pid, triples in keys.items()
+    }
     return data, new_sigs
 
 
@@ -195,56 +158,59 @@ def _same_partitions(a, b) -> bool:
 
 
 def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
-    """Run the refinement to its fixpoint and return the full piece table."""
-    workers = _effective_workers(workers)
+    """Run the refinement to its fixpoint and return the full piece table.
+
+    ``workers`` is accepted and ignored: the engine is single-threaded, and the
+    keyword stays only because the benchmark harness still passes it.
+    """
     membersU = inst.basisU.members
     membersV = inst.basisV.members
     cells = tuple((n, m) for n in range(len(membersU)) for m in range(len(membersV)))
     cell_orbits = tuple(
         orbit_partition(inst, membersU[n], membersV[m]) for (n, m) in cells
     )
-    signatures: dict[str, Signature] = {}
 
-    def level1_cell(ci: int):
-        labelled = []
-        for part in cell_orbits[ci]:
-            indices = tuple(l for l, ul in enumerate(membersU) if part & ul)
-            pid = _intern_signature(_encode_level1(indices))
-            if pid not in signatures:
-                signatures[pid] = Signature(1, frozenset(indices))
-            labelled.append((pid, part))
-        return _group_blocks(labelled)
+    def indices_of(part: int) -> tuple:
+        return tuple(l for l, ul in enumerate(membersU) if part & ul)
 
-    levels = [_map_cells(level1_cell, len(cells), workers)]
+    data, keys = _label_cells(cell_orbits, indices_of, _encode_level1)
+    signatures = {pid: Signature(1, frozenset(key)) for pid, key in keys.items()}
+    levels = [data]
     while True:
-        data, new_sigs = successor_level(inst, cells, cell_orbits, levels[-1], workers)
+        data, new_sigs = successor_level(inst, cells, cell_orbits, levels[-1])
+        # Payloads never repeat across levels (each level names the previous
+        # level's ids), so an id already taken in this analysis is a collision.
+        for pid in new_sigs:
+            if pid in signatures:
+                raise RuntimeError(f"piece-id hash collision on {pid}")
         if _same_partitions(data, levels[-1]):
             break
         for pid, sig in new_sigs.items():
-            signatures.setdefault(pid, Signature(len(levels) + 1, sig.entries))
+            signatures[pid] = Signature(len(levels) + 1, sig.entries)
         levels.append(data)
-    stabilization = len(levels)
-    table = PieceTable(inst, cells, cell_orbits, levels, signatures, stabilization)
-    return table
+    return PieceTable(inst, cells, cell_orbits, levels, signatures, len(levels))
 
 
 # ---------------------------------------------------------------------------
 # lookups
 
 
+def _block_of(table: PieceTable, x: int, u_idx: int, v_idx: int, lvl: int):
+    """The stored (pieceId, mask) block holding x at one cell, or None at level 0."""
+    if not table.instance.basisU[u_idx] >> x & 1:
+        raise ValueError(f"point {x} is not in U_{u_idx}")
+    if lvl == 0:
+        return None
+    for block in table.levels[lvl - 1][table.cell_index(u_idx, v_idx)]:
+        if block[1] >> x & 1:
+            return block
+    raise RuntimeError("piece table does not cover the cell (internal error)")
+
+
 def piece(table: PieceTable, x: int, u_idx: int, v_idx: int, level) -> int:
     """The level-α piece of x at cell (U_n, V_m); level 0 returns U_n itself."""
-    inst = table.instance
-    u = inst.basisU[u_idx]
-    if not u >> x & 1:
-        raise ValueError(f"point {x} is not in U_{u_idx}")
-    if isinstance(level, int) and level == 0:
-        return u
-    lvl = table.resolve_level(level)
-    for _, mask in table.levels[lvl - 1][table.cell_index(u_idx, v_idx)]:
-        if mask >> x & 1:
-            return mask
-    raise RuntimeError("piece table does not cover the cell (internal error)")
+    block = _block_of(table, x, u_idx, v_idx, table.resolve_level(level))
+    return table.instance.basisU[u_idx] if block is None else block[1]
 
 
 def signature(table: PieceTable, x: int, u_idx: int, v_idx: int, level) -> Signature:
@@ -252,14 +218,7 @@ def signature(table: PieceTable, x: int, u_idx: int, v_idx: int, level) -> Signa
     lvl = table.resolve_level(level)
     if lvl < 1:
         raise ValueError("signatures are defined for levels >= 1")
-    inst = table.instance
-    u = inst.basisU[u_idx]
-    if not u >> x & 1:
-        raise ValueError(f"point {x} is not in U_{u_idx}")
-    for pid, mask in table.levels[lvl - 1][table.cell_index(u_idx, v_idx)]:
-        if mask >> x & 1:
-            return table.signatures[pid]
-    raise RuntimeError("piece table does not cover the cell (internal error)")
+    return table.signatures[_block_of(table, x, u_idx, v_idx, lvl)[0]]
 
 
 def scott_rank(table: PieceTable, x: int) -> int:

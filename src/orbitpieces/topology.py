@@ -169,7 +169,6 @@ def relative_pieces(
     x2: int,
     u_idx: int,
     v_idx: int,
-    workers: int = 1,
 ) -> RelativeAnalysis:
     """Re-run the engine on the refined subspace of x at level α.
 
@@ -224,7 +223,7 @@ def relative_pieces(
         name=f"{inst.name or 'instance'}/refined",
         require_translation_closed=(inst.mode == "strict"),
     )
-    sub_table = analyze(sub, workers=workers)
+    sub_table = analyze(sub)
     d_sub = to_sub(d_parent)
     try:
         d_index = sub.basisU.index(d_sub)

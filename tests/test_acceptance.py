@@ -4,14 +4,20 @@ Seven checks, each exact (set equality, zero tolerance) at a fixed corpus
 volume: definitional suites on 200 exploratory instances plus the named
 trio, theorem suites plus the classification report on 100 strict instances,
 the strict collapse law, the two named counterexample regressions, the
-membership-pattern cross-check, worker-count byte determinism, and the
-stabilization bound with its fixpoint. Wall-clock targets (60 s / 300 s) are
-asserted on the two corpus sweeps.
+membership-pattern cross-check, byte-identical analysis documents (against the
+pinned golden files, and again after other analyses in the same process), and
+the stabilization bound with its fixpoint. Wall-clock targets (60 s / 300 s)
+are asserted on the two corpus sweeps.
+
+The golden files under ``tests/golden/`` are
+``serialize_analysis(build_analysis(inst, seed=0, trials=4))`` for each
+instance in ``GOLDEN``; a change that alters them changes the document format.
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from orbitpieces.bits import to_list
 from orbitpieces.classify import (
@@ -24,7 +30,6 @@ from orbitpieces.harness import build_analysis, run_oracles, serialize_analysis
 from orbitpieces.saturation import orbit_partition
 from orbitpieces.scott import (
     STABLE,
-    WORKER_ENV_VAR,
     analyze,
     pattern_partition,
     piece,
@@ -35,7 +40,12 @@ from orbitpieces.scott import (
 
 EXPLORATORY_SEEDS = range(200)
 STRICT_SEEDS = range(100)
-WORKER_SEEDS = 20
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = {
+    **{name: named_instance(name) for name in ("z4self", "swapfix", "z4coarse", "z4pairs")},
+    **{f"random{s}": make_random(s) for s in (0, 4, 7)},
+    **{f"strict{s}": make_random(s, strict=True) for s in (0, 1, 2)},
+}
 
 
 def _exploratory_corpus():
@@ -140,13 +150,12 @@ def test_membership_pattern_partition_matches_level_one():
         assert level_one == pattern_partition(inst), key
 
 
-def test_worker_count_never_changes_analysis_documents(monkeypatch):
-    monkeypatch.delenv(WORKER_ENV_VAR, raising=False)
-    for seed in range(WORKER_SEEDS):
-        inst = make_random(seed, strict=seed % 3 == 0)
-        one = serialize_analysis(build_analysis(inst, workers=1, seed=seed))
-        many = serialize_analysis(build_analysis(inst, workers=4, seed=seed))
-        assert one == many, seed
+def test_analysis_documents_are_byte_stable():
+    # the pinned bytes, analysed in order and then again in reverse order, so
+    # every instance is re-run after the others in the same process
+    for key in list(GOLDEN) + list(reversed(GOLDEN)):
+        got = serialize_analysis(build_analysis(GOLDEN[key], seed=0, trials=4))
+        assert got == (GOLDEN_DIR / f"{key}.json").read_text(), key
 
 
 def test_stabilization_bound_and_extra_level_fixpoint():

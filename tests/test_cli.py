@@ -59,6 +59,29 @@ def test_saturate_bad_index(capsys):
     assert code == 1 and "index out of range" in err
 
 
+@pytest.mark.parametrize("section", [[], "seeds", 3])
+def test_validate_non_object_basis_section(capsys, tmp_path, section):
+    doc = json.loads(serialize_instance(make_random(0)))
+    for key in ("basisU", "basisV"):
+        bad = dict(doc, **{key: section})
+        p = tmp_path / f"{key}.json"
+        p.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "validate", "--instance", str(p))
+        assert code == 1, key
+        assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("pieces", "--u", "-1", "--v", "0", "--level", "1"),
+    ("pieces", "--u", "0", "--v", "-1", "--level", "1"),
+    ("orbit", "--x", "-1"),
+])
+def test_negative_indices_rejected(capsys, flags):
+    code, out, err = run(capsys, flags[0], "--instance", "z4self", *flags[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "non-negative" in err
+
+
 def test_saturate_bad_set_literal(capsys):
     code, _, err = run(
         capsys, "saturate", "--instance", "z4self",
@@ -248,7 +271,7 @@ def test_oracle_assert_entries_exit_2(capsys, monkeypatch):
         "severity": "assert",
     }
 
-    def fake_run(inst, suite, seed=0, trials=None, workers=1):
+    def fake_run(inst, suite, seed=0, trials=None):
         return [entry]
 
     monkeypatch.setattr("orbitpieces.cli.run_oracles", fake_run)

@@ -201,10 +201,3 @@ def test_build_analysis_document():
     text = serialize_analysis(doc)
     assert text.endswith("\n")
     assert json.loads(text) == doc
-
-
-def test_build_analysis_worker_invariance():
-    for inst in (named_instance("z4pairs"), make_random(5), make_random(12)):
-        one = serialize_analysis(build_analysis(inst, workers=1, trials=4))
-        four = serialize_analysis(build_analysis(inst, workers=4, trials=4))
-        assert one == four
