@@ -181,16 +181,6 @@ def conjugate(v: int, h: int, g: Group) -> int:
     return m
 
 
-def elem_product(a: int, b: int, g: Group) -> int:
-    """Pointwise product set {x·y : x ∈ A, y ∈ B}."""
-    m = 0
-    for x in bits(a):
-        row = g.mul[x]
-        for y in bits(b):
-            m |= 1 << row[y]
-    return m
-
-
 def is_subgroup(mask: int, g: Group) -> bool:
     if not mask & 1:
         return False
@@ -257,32 +247,37 @@ class SetFamily:
         return self._index[mask]
 
 
-def close_neighborhood_family(seeds, g: Group) -> SetFamily:
-    """Symmetrize the seeds and close under conjugation by every element.
+def close_family(seeds, images, full: int) -> SetFamily:
+    """Close the seeds under ``images(member)``, in first-seen order.
 
-    Deterministic first-seen order; the full group is never kept mid-list and
-    is appended last.
+    Seeds come first (in input order), then new images found by scanning the
+    members in order; the full set is never kept mid-list and is appended last.
     """
-    full = g.full
     ordered: list[int] = []
-    seen: set[int] = set()
+    seen = {full}
 
-    def push(m: int) -> None:
-        if m in seen or m == full:
-            return
-        seen.add(m)
-        ordered.append(m)
+    def push(masks) -> None:
+        for m in masks:
+            if m not in seen:
+                seen.add(m)
+                ordered.append(m)
 
-    for s in seeds:
-        push(symmetric_closure(s, g))
+    push(seeds)
     i = 0
     while i < len(ordered):
-        v = ordered[i]
-        for h in range(g.order):
-            push(conjugate(v, h, g))
+        push(images(ordered[i]))
         i += 1
     ordered.append(full)
     return SetFamily(tuple(ordered))
+
+
+def close_neighborhood_family(seeds, g: Group) -> SetFamily:
+    """Symmetrize the seeds and close under conjugation by every element."""
+    return close_family(
+        [symmetric_closure(s, g) for s in seeds],
+        lambda v: (conjugate(v, h, g) for h in range(g.order)),
+        g.full,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -100,34 +100,20 @@ def invariant_containment_check(
             return None
 
         if u.bit_count() <= 12 and (1 << k) <= budget:
-            found = None
-            for counter in range(1, 1 << k):
-                a = 0
-                for i in bits(counter):
-                    a |= parts[i]
-                checked += 1
-                found = scan(a)
-                if found:
-                    break
-            if found:
-                violations.append(found)
+            counters = range(1, 1 << k)
         else:
             exhaustive = False
             rng = random.Random(f"invariant:{seed}:{n}:{m}")
-            found = None
-            for _ in range(budget):
-                counter = rng.randrange(1, 1 << k) if k else 0
-                if not counter:
-                    break
-                a = 0
-                for i in bits(counter):
-                    a |= parts[i]
-                checked += 1
-                found = scan(a)
-                if found:
-                    break
+            counters = (rng.randrange(1, 1 << k) for _ in range(budget)) if k else ()
+        for counter in counters:
+            a = 0
+            for i in bits(counter):
+                a |= parts[i]
+            checked += 1
+            found = scan(a)
             if found:
                 violations.append(found)
+                break
     return {
         "level": lvl,
         "verdict": not violations,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import GroupError
@@ -349,7 +350,6 @@ def _add_common(sub, *, instance=True):
                          help="built-in instance name or document path")
         sub.add_argument("--mode-override", choices=("strict", "exploratory"))
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--text", action="store_true", help="human-readable output (default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,7 +477,14 @@ def main(argv=None) -> int:
         for name in _INDEX_ARGS:
             if (getattr(args, name, None) or 0) < 0:
                 raise InstanceFormatError(f"--{name} must be a non-negative index")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`).  Point stdout at devnull
+        # so the interpreter's final flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InstanceFormatError, InstanceError, GroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

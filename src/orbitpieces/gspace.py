@@ -23,6 +23,7 @@ from .algebra import (
     Group,
     SetFamily,
     all_subgroups,
+    close_family,
     close_neighborhood_family,
     cyclic_group,
     dihedral_group,
@@ -53,9 +54,6 @@ class ActionInstance:
     @property
     def full_points(self) -> int:
         return universe(self.size)
-
-    def points(self) -> range:
-        return range(self.size)
 
 
 def translate_set(inst: ActionInstance, a: int, g: int) -> int:
@@ -99,31 +97,17 @@ def _validate_action(group: Group, size: int, act) -> tuple[tuple[int, ...], ...
     return tuple(rows)
 
 
-def _close_point_family(seeds, rows, order: int, size: int) -> SetFamily:
-    full = universe(size)
-    ordered: list[int] = []
-    seen: set[int] = set()
+def _translates(rows):
+    """The images of a point set under every row of an action table."""
 
-    def push(m: int) -> None:
-        if m in seen or m == full:
-            return
-        seen.add(m)
-        ordered.append(m)
-
-    for s in seeds:
-        push(s)
-    i = 0
-    while i < len(ordered):
-        u = ordered[i]
-        for g in range(order):
-            row = rows[g]
+    def images(u: int):
+        for row in rows:
             m = 0
             for x in bits(u):
                 m |= 1 << row[x]
-            push(m)
-        i += 1
-    ordered.append(full)
-    return SetFamily(tuple(ordered))
+            yield m
+
+    return images
 
 
 def _check_strict(size: int, basisU: SetFamily, basisV: SetFamily) -> None:
@@ -152,7 +136,7 @@ def build_instance(
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
     rows = _validate_action(group, size, act)
-    basisU = _close_point_family(seedsU, rows, group.order, size)
+    basisU = close_family(seedsU, _translates(rows), universe(size))
     basisV = close_neighborhood_family(seedsV, group)
     if mode == "strict":
         _check_strict(size, basisU, basisV)
@@ -167,15 +151,13 @@ def instance_from_families(
     membersV,
     mode: str,
     name: str = "",
-    require_translation_closed: bool = False,
 ) -> ActionInstance:
     """Assemble an instance from already-ordered families, without re-closing.
 
     Used for relativized sub-spaces whose basis enumeration must be taken
     verbatim.  The full point set must be the last U-member and the full group
-    the last V-member.  When ``require_translation_closed`` is set (strict
-    parents), translation closure of the U-family is verified and a violation
-    is an internal error.
+    the last V-member.  In strict mode the U-family must also be
+    translation-closed, and a violation is an internal error.
     """
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
@@ -192,18 +174,8 @@ def instance_from_families(
     basisV = SetFamily(membersV)
     if mode == "strict":
         _check_strict(size, basisU, basisV)
-    if require_translation_closed:
-        memberset = set(membersU)
-        for u in membersU:
-            for g in range(group.order):
-                img = 0
-                for x in bits(u):
-                    img |= 1 << rows[g][x]
-                if img not in memberset:
-                    raise RuntimeError(
-                        "relativized U-family is not translation-closed "
-                        f"(member {to_list(u)} moved by element {g})"
-                    )
+        if len(close_family(membersU, _translates(rows), universe(size))) != len(membersU):
+            raise RuntimeError("relativized U-family is not translation-closed")
     return ActionInstance(group, size, rows, basisU, basisV, mode, name)
 
 
@@ -380,7 +352,7 @@ def make_random(
         seedsU = [1 << x for x in range(size)]
         if rng.random() < 0.4:
             extra = random_point_set(max(2, size // 2))
-            trial = _close_point_family(seedsU + [extra], tuple(tuple(r) for r in act), order, size)
+            trial = close_family(seedsU + [extra], _translates(act), full)
             if len(trial) <= max_u:
                 seedsU.append(extra)
         seedsV = [1]
@@ -395,7 +367,7 @@ def make_random(
         for _ in range(rng.randint(1, 3)):
             seedsU.append(random_point_set(max(2, size // 2)))
         while True:
-            trial = _close_point_family(seedsU, tuple(tuple(r) for r in act), order, size)
+            trial = close_family(seedsU, _translates(act), full)
             if len(trial) <= max_u or not seedsU:
                 break
             seedsU.pop()
@@ -411,15 +383,6 @@ def make_random(
 
     label = name or (f"strict{seed}" if strict else f"random{seed}")
     return build_instance(group, size, act, seedsU, seedsV, mode, label)
-
-
-_TEMPLATES = {
-    "cyclic_self": make_cyclic_self,
-    "swap_fix": make_swap_fix,
-    "coset_action": make_coset_action,
-    "product": make_product,
-    "random": make_random,
-}
 
 
 def named_instance(key: str) -> ActionInstance:

@@ -76,19 +76,6 @@ from .transforms import (
     star,
 )
 
-SUITES = (
-    "locsat",
-    "bH",
-    "vaught",
-    "hist",
-    "vb",
-    "phar",
-    "list",
-    "translate",
-    "orb",
-    "subs",
-)
-
 INSTANCE_SCHEMA = "orbitpieces-instance/1"
 ANALYSIS_SCHEMA = "orbitpieces-analysis/1"
 
@@ -150,22 +137,31 @@ def parse_instance(document) -> ActionInstance:
             action = space["action"]
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"bad space description: {exc}") from None
+        if not isinstance(action, list) or not all(
+            isinstance(row, list) and all(type(p) is int for p in row) for row in action
+        ):
+            raise InstanceFormatError("space.action must be a list of lists of ints")
 
-    def seeds_of(key: str) -> list[int]:
+    def seeds_of(key: str, bound: int) -> list[int]:
         section = doc[key]
         if not isinstance(section, dict):
             raise InstanceFormatError(f"{key} must be an object with a seeds list")
         raw = section.get("seeds", [])
-        if not isinstance(raw, list):
-            raise InstanceFormatError("seeds must be a list of index arrays")
+        if not isinstance(raw, list) or not all(
+            isinstance(arr, list) and all(type(i) is int and 0 <= i < bound for i in arr)
+            for arr in raw
+        ):
+            raise InstanceFormatError(
+                f"{key}.seeds must be a list of index lists in range({bound})"
+            )
         return [mask_of(arr) for arr in raw]
 
     return build_instance(
         group,
         size,
         action,
-        seeds_of("basisU"),
-        seeds_of("basisV"),
+        seeds_of("basisU", size),
+        seeds_of("basisV", group.order),
         doc["mode"],
         name=str(doc.get("name", "")),
     )
@@ -963,7 +959,7 @@ def _suite_subs(ctx: _Ctx):
                         fam_one.append(p)
         t_all = generate_topology(ground, fam_all)
         t_one = generate_topology(ground, fam_one)
-        if t_all.opens != t_one.opens:
+        if t_all != t_one:
             ctx.fail("subs", "successor-basis-topology", None, severity=sev, x=x, beta=beta)
 
 
@@ -979,6 +975,7 @@ _SUITE_FUNCS = {
     "orb": _suite_orb,
     "subs": _suite_subs,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 DEFAULT_TRIALS = 16
 

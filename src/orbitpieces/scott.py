@@ -39,15 +39,14 @@ STABLE = _Stable()
 
 @dataclass(frozen=True)
 class Signature:
-    """Canonical level invariant: U-indices at level 1, (pid, n, m) triples above."""
+    """Canonical level invariant, stored in canonical order: the sorted
+    U-indices at level 1, and (pid, n, m) triples ordered by (n, m, pid) above."""
 
     level: int
-    entries: frozenset
+    entries: tuple
 
     def canonical(self) -> tuple:
-        if self.level == 1:
-            return tuple(sorted(self.entries))
-        return tuple(sorted(self.entries, key=lambda t: (t[1], t[2], t[0])))
+        return self.entries
 
 
 def _encode_level1(indices: tuple[int, ...]) -> str:
@@ -129,8 +128,9 @@ def _label_cells(cell_orbits, key_of, encode):
 def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level):
     """One refinement step: label every cell's orbits against the previous level.
 
-    Returns (level_data, new_signatures).  Exposed separately so the oracle
-    suites and the stabilization-bound check can re-run single steps.
+    Returns the level's blocks per cell and, for each new piece id, its
+    signature key: the sorted (n, m, pid) triples.  Exposed separately so the
+    oracle suites and the stabilization-bound check can re-run single steps.
     """
 
     def triples_of(part: int) -> tuple:
@@ -142,12 +142,7 @@ def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level):
         triples.sort()
         return tuple(triples)
 
-    data, keys = _label_cells(cell_orbits, triples_of, _encode_successor)
-    new_sigs = {
-        pid: Signature(0, frozenset((p, n2, m2) for (n2, m2, p) in triples))
-        for pid, triples in keys.items()
-    }
-    return data, new_sigs
+    return _label_cells(cell_orbits, triples_of, _encode_successor)
 
 
 def _same_partitions(a, b) -> bool:
@@ -174,19 +169,21 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
         return tuple(l for l, ul in enumerate(membersU) if part & ul)
 
     data, keys = _label_cells(cell_orbits, indices_of, _encode_level1)
-    signatures = {pid: Signature(1, frozenset(key)) for pid, key in keys.items()}
+    signatures = {pid: Signature(1, key) for pid, key in keys.items()}
     levels = [data]
     while True:
-        data, new_sigs = successor_level(inst, cells, cell_orbits, levels[-1])
+        data, keys = successor_level(inst, cells, cell_orbits, levels[-1])
         # Payloads never repeat across levels (each level names the previous
         # level's ids), so an id already taken in this analysis is a collision.
-        for pid in new_sigs:
+        for pid in keys:
             if pid in signatures:
                 raise RuntimeError(f"piece-id hash collision on {pid}")
         if _same_partitions(data, levels[-1]):
             break
-        for pid, sig in new_sigs.items():
-            signatures[pid] = Signature(len(levels) + 1, sig.entries)
+        for pid, key in keys.items():
+            signatures[pid] = Signature(
+                len(levels) + 1, tuple((p, n, m) for (n, m, p) in key)
+            )
         levels.append(data)
     return PieceTable(inst, cells, cell_orbits, levels, signatures, len(levels))
 

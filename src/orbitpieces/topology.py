@@ -1,9 +1,10 @@
 """Finite topologies, refined piece-generated families, and relative re-analysis.
 
-A finite topology is stored as the explicit family of open sets.  Generation
-from a subbasis goes through minimal neighbourhoods: N(y) is the intersection
-of all subbasis members containing y (the ground set if there are none), and
-the opens are exactly the unions of minimal neighbourhoods.
+A finite topology is stored as the minimal neighbourhood N(y) of each ground
+point y (Alexandrov): N(y) is the intersection of all subbasis members
+containing y (the ground set if there are none), a set is open exactly when it
+contains N(y) for each of its points, and the opens are the unions of minimal
+neighbourhoods.  The explicit family of opens is built only when read.
 
 The refined family of a point x at level α collects the basic opens together
 with every piece B_β(x', U, V) for 1 ≤ β < α and x' in the orbit of x; the
@@ -15,6 +16,7 @@ with the relativized family enumeration taken verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bits import bits, to_list, universe
 from .gspace import (
@@ -29,21 +31,22 @@ from .scott import PieceTable, analyze, piece
 @dataclass(frozen=True)
 class FiniteTopology:
     ground: int
-    opens: frozenset[int]
+    minimal: tuple[int, ...]  # N(y) for the ground points y in increasing order
 
     def is_open(self, s: int) -> bool:
-        return s in self.opens
+        if s & ~self.ground:
+            return False
+        return all(
+            not n & ~s for y, n in zip(bits(self.ground), self.minimal) if s >> y & 1
+        )
 
-    def validate(self) -> None:
-        """Exhaustive closure check — quadratic in |opens|, for desk-scale use."""
-        if 0 not in self.opens or self.ground not in self.opens:
-            raise RuntimeError("topology misses the empty set or the ground set")
-        for a in self.opens:
-            if a & ~self.ground:
-                raise RuntimeError("open set escapes the ground set")
-            for b in self.opens:
-                if (a | b) not in self.opens or (a & b) not in self.opens:
-                    raise RuntimeError("topology is not closed under union/intersection")
+    @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every open set: 2^k sets for k distinct minimal neighbourhoods."""
+        opens = {0, self.ground}
+        for n in set(self.minimal):
+            opens |= {o | n for o in opens}
+        return frozenset(opens)
 
 
 def minimal_neighborhood(ground: int, family, y: int) -> int:
@@ -58,17 +61,9 @@ def minimal_neighborhood(ground: int, family, y: int) -> int:
 def generate_topology(ground: int, subbasis) -> FiniteTopology:
     """The topology on ``ground`` generated by the (relativized) subbasis."""
     rel = [s & ground for s in subbasis]
-    minimal: list[int] = []
-    seen: set[int] = set()
-    for y in bits(ground):
-        n = minimal_neighborhood(ground, rel, y)
-        if n not in seen:
-            seen.add(n)
-            minimal.append(n)
-    opens = {0, ground}
-    for n in minimal:
-        opens |= {o | n for o in opens}
-    return FiniteTopology(ground, frozenset(opens))
+    return FiniteTopology(
+        ground, tuple(minimal_neighborhood(ground, rel, y) for y in bits(ground))
+    )
 
 
 def refined_family(table: PieceTable, x: int, alpha) -> list[int]:
@@ -221,7 +216,6 @@ def relative_pieces(
         inst.basisV.members,
         inst.mode,
         name=f"{inst.name or 'instance'}/refined",
-        require_translation_closed=(inst.mode == "strict"),
     )
     sub_table = analyze(sub)
     d_sub = to_sub(d_parent)

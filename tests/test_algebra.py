@@ -12,7 +12,6 @@ from orbitpieces.algebra import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    elem_product,
     group_from_generators,
     group_from_table,
     is_subgroup,
@@ -99,11 +98,6 @@ def test_conjugate_in_abelian_group_is_identity():
     g = cyclic_group(5)
     for h in range(5):
         assert conjugate(0b10110, h, g) == 0b10110
-
-
-def test_elem_product():
-    g = cyclic_group(4)
-    assert elem_product(0b0011, 0b0110, g) == 0b1110  # {0,1}*{1,2} = {1,2,3}
 
 
 def test_all_subgroups_z4():

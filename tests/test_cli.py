@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from orbitpieces.cli import main
-from orbitpieces.gspace import make_random
+from orbitpieces.gspace import make_cyclic_self, make_random
 from orbitpieces.harness import parse_instance, serialize_instance
 
 
@@ -69,6 +69,34 @@ def test_validate_non_object_basis_section(capsys, tmp_path, section):
         code, _, err = run(capsys, "validate", "--instance", str(p))
         assert code == 1, key
         assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("basisU", [["a"]]),
+    ("basisU", [1]),
+    ("basisU", [[99]]),
+    ("basisV", [[99]]),
+    ("basisU", [[-1]]),
+    ("action", "a"),
+    ("action", 5),
+], ids=["u-not-int", "u-not-list", "u-range", "v-range", "u-negative",
+        "action-entry", "action-not-list"])
+def test_validate_malformed_seeds_and_action(capsys, tmp_path, key, value):
+    doc = json.loads(serialize_instance(make_random(0)))
+    if key == "action":
+        if isinstance(value, str):
+            doc["space"]["action"][1][0] = value
+        else:
+            doc["space"]["action"] = value
+        field = "space.action"
+    else:
+        doc[key]["seeds"] = value
+        field = f"{key}.seeds"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--instance", str(p))
+    assert code == 1
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -332,6 +360,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "ranks 1 1 1 1"
+
+
+def test_broken_pipe_exits_without_traceback(tmp_path):
+    # The listing (about 270 KB) overflows the pipe buffer, so the writer is
+    # still blocked when the reader closes its end, and its next write fails.
+    doc = tmp_path / "z12self.json"
+    doc.write_text(serialize_instance(make_cyclic_self(12)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitpieces", "topology", "--instance", str(doc),
+         "--x", "0", "--level", "2", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_usage_error_exits_nonzero():

@@ -117,12 +117,13 @@ def test_instance_from_families_validation():
         instance_from_families(g, 2, act, [3], [1], "exploratory")
     with pytest.raises(InstanceError, match="duplicate-free"):
         instance_from_families(g, 2, act, [1, 1, 3], [1, 3], "exploratory")
+    # strict U-families must be translation-closed: {0,1} on Z/3 moves to {1,2}
+    g3 = cyclic_group(3)
+    act3 = [[(i + x) % 3 for x in range(3)] for i in range(3)]
     with pytest.raises(RuntimeError, match="translation"):
-        instance_from_families(g, 2, act, [1, 3], [1, 3], "exploratory",
-                               require_translation_closed=True)
-    ok = instance_from_families(g, 2, act, [1, 2, 3], [1, 3], "exploratory",
-                                require_translation_closed=True)
-    assert ok.basisU.members == (1, 2, 3)
+        instance_from_families(g3, 3, act3, [1, 2, 4, 3, 7], [1, 7], "strict")
+    ok = instance_from_families(g3, 3, act3, [1, 2, 4, 3, 6, 5, 7], [1, 7], "strict")
+    assert ok.basisU.members == (1, 2, 4, 3, 6, 5, 7)
 
 
 def test_make_coset_action_is_transitive():

@@ -3,11 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitpieces.bits import is_subset, to_list
+from orbitpieces.bits import is_subset, to_list, universe
 from orbitpieces.gspace import make_random, named_instance, orbit
 from orbitpieces.scott import STABLE, analyze, piece
 from orbitpieces.topology import (
-    FiniteTopology,
     generate_topology,
     minimal_neighborhood,
     open_map_check,
@@ -29,25 +28,17 @@ def test_generate_topology_small():
     assert topo.is_open(0b0010)
     assert not topo.is_open(0b0001)
     assert not topo.is_open(0b0100)
-    topo.validate()
 
 
 def test_generate_topology_relativizes_subbasis():
     topo = generate_topology(0b0011, [0b0110])
     # the subbasis member is cut down to the ground first
     assert sorted(topo.opens) == [0, 0b0010, 0b0011]
-    topo.validate()
 
 
 def test_minimal_neighborhood_defaults_to_ground():
     assert minimal_neighborhood(0b0111, [0b0011], 2) == 0b0111
     assert minimal_neighborhood(0b0111, [0b0011], 0) == 0b0011
-
-
-def test_validate_rejects_non_topology():
-    broken = FiniteTopology(0b0111, frozenset({0, 0b0111, 0b0001, 0b0010}))
-    with pytest.raises(RuntimeError):
-        broken.validate()  # missing the union {0,1}
 
 
 def test_refined_family_frozen_z4pairs():
@@ -177,7 +168,36 @@ def test_minimal_neighborhoods_generate_the_topology(seed, data):
             assert is_subset(n, s)
             rebuilt |= n
         assert rebuilt == s
-    topo.validate()
+    # is_open reads the minimal neighbourhoods; it must agree with the
+    # enumerated opens on every subset of the ground and reject a set that
+    # reaches outside it
+    sub = ground
+    while True:
+        assert topo.is_open(sub) == (sub in topo.opens)
+        if not sub:
+            break
+        sub = (sub - 1) & ground
+    outside = ground | (1 << inst.size)
+    assert not topo.is_open(outside) and outside not in topo.opens
+    # the enumerated opens form a topology
+    assert {0, ground} <= topo.opens
+    for a in topo.opens:
+        for b in topo.opens:
+            assert a | b in topo.opens and a & b in topo.opens
+
+
+def test_large_discrete_topology_is_not_enumerated():
+    # 2^48 open sets: equality and openness must come from the minimal
+    # neighbourhoods alone
+    ground = universe(48)
+    topo = generate_topology(ground, [1 << y for y in range(48)])
+    assert topo == generate_topology(ground, [1 << y for y in range(48)])
+    assert topo != generate_topology(ground, [1 << y for y in range(47)])
+    assert topo.is_open(0b1010) and topo.is_open(ground)
+    assert not topo.is_open(1 << 48)
+    coarse = generate_topology(ground, [0b11])
+    assert coarse.is_open(0b11) and not coarse.is_open(0b1)
+    assert "opens" not in vars(topo) and "opens" not in vars(coarse)
 
 
 @settings(max_examples=25, deadline=None)
