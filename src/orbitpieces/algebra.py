@@ -70,12 +70,48 @@ def _find_identity(mul: list[list[int]]) -> int:
     raise GroupError("no identity element")
 
 
+def generating_set(mul) -> list[int]:
+    """A generating set of the table with the identity at index 0.
+
+    Elements are picked greedily in index order: each pick is the least
+    element not yet reached from the identity by right multiplication by the
+    earlier picks, and the reached set is then closed again.  Every element
+    is therefore a left-nested product (((e·s₁)·s₂)·…) of picks, whether or
+    not the table is associative.
+    """
+    n = len(mul)
+    gens: list[int] = []
+    reached = [False] * n
+    reached[0] = True
+    members = [0]
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        # the reached elements times the new pick; each element reached from
+        # here on is multiplied by every pick, so the closure is complete
+        todo = [mul[h][g] for h in members]
+        while todo:
+            p = todo.pop()
+            if reached[p]:
+                continue
+            reached[p] = True
+            members.append(p)
+            row = mul[p]
+            todo.extend(row[s] for s in gens)
+    return gens
+
+
 def group_from_table(mul_rows, name: str = "G") -> Group:
     """Build and fully validate a group from a multiplication table.
 
     The identity is located and, if necessary, the elements are relabelled so
-    that it sits at index 0.  Associativity and existence of inverses are
-    checked exhaustively.
+    that it sits at index 0.  Associativity is checked as (ab)c = a(bc) for
+    all a, b and every c in ``generating_set`` (Light's test): the set of c
+    for which it holds contains the identity and is closed under products,
+    since (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)) when c and d
+    are in it, so holding on the generators it holds on the whole table.
+    Inverses are then checked for every element.
     """
     mul = [list(row) for row in mul_rows]
     _validate_table(mul)
@@ -90,11 +126,14 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
             for b in range(n):
                 new[p[a]][p[b]] = p[mul[a][b]]
         mul = new
+    gens = generating_set(mul)
     for a in range(n):
+        row_a = mul[a]
         for b in range(n):
-            ab = mul[a][b]
-            for c in range(n):
-                if mul[ab][c] != mul[a][mul[b][c]]:
+            row_ab = mul[row_a[b]]
+            row_b = mul[b]
+            for c in gens:
+                if row_ab[c] != row_a[row_b[c]]:
                     raise GroupError(
                         f"associativity fails at ({a},{b},{c})"
                     )
@@ -197,8 +236,8 @@ def is_subgroup(mask: int, g: Group) -> bool:
 def all_subgroups(g: Group) -> list[int]:
     """Every subgroup of g as a bitmask, ordered by (size, mask value).
 
-    Exhaustive scan over submasks; intended for the desk-scale orders
-    (≤ 8) this package works at.
+    Exhaustive scan over all 2^|G| masks, each tested in up to |G|² products:
+    about 65,000 masks at |G| = 16 and 16.8 million at |G| = 24.
     """
     out = [m for m in range(1, g.full + 1) if m & 1 and is_subgroup(m, g)]
     out.sort(key=lambda m: (m.bit_count(), m))

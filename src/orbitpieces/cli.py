@@ -44,6 +44,11 @@ from .transforms import (
 )
 
 
+# The `topology` listing refuses a topology with more distinct minimal
+# neighbourhoods than this: its opens could number 2^k.
+MAX_LISTED_NEIGHBORHOODS = 16
+
+
 def _fmt_set(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
 
@@ -201,6 +206,13 @@ def _cmd_topology(args) -> int:
     level = _parse_level(args.level)
     fam = refined_family(table, args.x, level)
     ground, topo = refined_space(table, args.x, level)
+    k = len(set(topo.minimal))
+    if k > MAX_LISTED_NEIGHBORHOODS:
+        raise ValueError(
+            f"the refined topology has {k} distinct minimal neighbourhoods; "
+            f"listing its opens (up to 2^{k} sets) is refused above "
+            f"{MAX_LISTED_NEIGHBORHOODS}"
+        )
     opens = sorted(topo.opens)
     payload = {
         "ground": to_list(ground),

@@ -28,6 +28,7 @@ from .algebra import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    generating_set,
     is_subgroup,
     symmetric_closure,
     symmetric_group_3,
@@ -86,7 +87,9 @@ def _validate_action(group: Group, size: int, act) -> tuple[tuple[int, ...], ...
             raise InstanceError(f"action row for element {g} is not a permutation")
     if rows[0] != tuple(range(size)):
         raise InstanceError("identity element does not act as the identity map")
-    for g in range(group.order):
+    # (gh)x = g(hx) for every generator g suffices: with an associative
+    # table, the g for which it holds for all h are closed under products.
+    for g in generating_set(group.mul):
         for h in range(group.order):
             gh = group.mul[g][h]
             for x in range(size):

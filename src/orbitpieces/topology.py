@@ -42,7 +42,7 @@ class FiniteTopology:
 
     @cached_property
     def opens(self) -> frozenset[int]:
-        """Every open set: 2^k sets for k distinct minimal neighbourhoods."""
+        """Every open set: at most 2^k sets for k distinct minimal neighbourhoods."""
         opens = {0, self.ground}
         for n in set(self.minimal):
             opens |= {o | n for o in opens}
@@ -66,6 +66,16 @@ def generate_topology(ground: int, subbasis) -> FiniteTopology:
     )
 
 
+def _top_piece_level(table: PieceTable, alpha) -> int:
+    """The highest piece level β < α that the refined family collects, capped
+    at stabilization (STABLE gives stabilization)."""
+    if isinstance(alpha, int):
+        if alpha < 1:
+            raise ValueError("refined families need level >= 1")
+        return min(alpha - 1, table.stabilization)
+    return table.stabilization
+
+
 def refined_family(table: PieceTable, x: int, alpha) -> list[int]:
     """ℬˣ_{<α}: the basic opens plus all pieces of orbit points below level α.
 
@@ -73,12 +83,7 @@ def refined_family(table: PieceTable, x: int, alpha) -> list[int]:
     (capped at stabilization), cells in (n, m) order, orbit points ascending.
     """
     inst = table.instance
-    if isinstance(alpha, int):
-        if alpha < 1:
-            raise ValueError("refined families need level >= 1")
-        top_beta = min(alpha - 1, table.stabilization)
-    else:
-        top_beta = table.stabilization
+    top_beta = _top_piece_level(table, alpha)
     orb = orbit(inst, x)
     out: list[int] = []
     seen: set[int] = set()
@@ -118,15 +123,24 @@ def open_map_check(table: PieceTable, x: int, alpha) -> tuple[bool, int | None]:
 
     Over a discrete group this says every orbit singleton is relatively open;
     the first point whose minimal relative neighbourhood exceeds itself is
-    returned as the witness.
+    returned as the witness.  The answer depends on x only through its orbit
+    and on α only through the capped piece level, so it is memoised per
+    (orbit, level) on the table.
     """
-    inst = table.instance
-    fam = refined_family(table, x, alpha)
-    orb = orbit(inst, x)
-    for y in bits(orb):
-        if minimal_neighborhood(orb, fam, y) != 1 << y:
-            return False, y
-    return True, None
+    top_beta = _top_piece_level(table, alpha)
+    orb = orbit(table.instance, x)
+    memo = table._caches.setdefault("openmap", {})
+    key = (orb, top_beta)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = True, None
+        fam = refined_family(table, x, alpha)
+        for y in bits(orb):
+            if minimal_neighborhood(orb, fam, y) != 1 << y:
+                verdict = False, y
+                break
+        memo[key] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,18 @@ def test_topology_output(capsys):
     assert code == 0 and len(json.loads(out)["opens"]) == 16
 
 
+def test_topology_listing_refuses_too_many_neighbourhoods(capsys, tmp_path):
+    # The Z/20 regular action refines to the discrete topology on 20 points:
+    # 20 distinct minimal neighbourhoods, so 2^20 opens.
+    doc = tmp_path / "z20self.json"
+    doc.write_text(serialize_instance(make_cyclic_self(20)))
+    code, out, err = run(
+        capsys, "topology", "--instance", str(doc), "--x", "0", "--level", "2"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "20 distinct minimal neighbourhoods" in err
+
+
 def test_openmap_output(capsys):
     code, out, _ = run(
         capsys, "openmap", "--instance", "z4self", "--x", "0", "--level", "3"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitpieces.bits import is_subset, to_list, universe
-from orbitpieces.gspace import make_random, named_instance, orbit
+from orbitpieces.gspace import NAMED_INSTANCES, make_random, named_instance, orbit
 from orbitpieces.scott import STABLE, analyze, piece
 from orbitpieces.topology import (
     generate_topology,
@@ -72,6 +72,35 @@ def test_refined_space_and_openmap_z4self():
     assert len(topo.opens) == 16  # discrete: level-1 pieces are singletons
     ok, witness = open_map_check(t, 0, 3)
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("key", [*NAMED_INSTANCES, 0, 4, 7, 11])
+def test_open_map_memo_matches_a_fresh_table(key):
+    # One warm table answers every point of an orbit from the entry its first
+    # point stored; each answer must equal a cold table's.
+    inst = named_instance(key) if isinstance(key, str) else make_random(key)
+    t = analyze(inst)
+    for x in range(inst.size):
+        for alpha in [*range(1, t.stabilization + 3), STABLE]:
+            assert open_map_check(t, x, alpha) == open_map_check(analyze(inst), x, alpha)
+
+
+def test_open_map_memo_shares_stable_and_deep_levels():
+    inst = named_instance("z4pairs")
+    t = analyze(inst)
+    assert orbit(inst, 0) == inst.full_points
+    for x in range(inst.size):
+        open_map_check(t, x, STABLE)
+        for alpha in range(t.stabilization + 1, t.stabilization + 4):
+            open_map_check(t, x, alpha)
+    assert len(t._caches["openmap"]) == 1
+    # one entry per piece level 0..stabilization collected below α
+    for x in range(inst.size):
+        for alpha in range(1, t.stabilization + 1):
+            open_map_check(t, x, alpha)
+    assert len(t._caches["openmap"]) == t.stabilization + 1
+    with pytest.raises(ValueError, match="level"):
+        open_map_check(t, 0, 0)
 
 
 def test_refined_space_z4coarse_is_indiscrete():
