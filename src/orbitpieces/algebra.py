@@ -58,7 +58,7 @@ def _validate_table(mul: list[list[int]]) -> None:
         if len(row) != n:
             raise GroupError(f"row {g} has length {len(row)}, expected {n}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise GroupError(f"entry {v!r} in row {g} out of range")
 
 
@@ -148,16 +148,13 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
     return Group(tuple(tuple(r) for r in mul), tuple(inv), name)
 
 
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p*q)(x) = p(q(x)), matching the action convention (gh)x = g(hx)
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
 def group_from_generators(generators, name: str = "G", max_order: int = 10000) -> Group:
     """The permutation group generated by the given permutations.
 
     Elements are enumerated breadth-first from the identity, so the identity
     lands at index 0 and the ordering is deterministic in the generator list.
+    Each later element q is first reached as gens[i]∘elems[p] with p < q, so
+    row q of the table is row p mapped through left multiplication by gens[i].
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -166,26 +163,28 @@ def group_from_generators(generators, name: str = "G", max_order: int = 10000) -
     for i, g in enumerate(gens):
         if len(g) != degree:
             raise GroupError(f"generator {i} has degree {len(g)}, expected {degree}")
-        if sorted(g) != list(range(degree)):
+        if any(type(p) is not int for p in g) or sorted(g) != list(range(degree)):
             raise GroupError(f"generator {i} is not a permutation")
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _perm_mul(g, p)
-                if q not in index:
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-                    if len(elems) > max_order:
-                        raise GroupError("generated group exceeds size cap")
-        frontier = nxt
-    n = len(elems)
-    mul = [[index[_perm_mul(elems[a], elems[b])] for b in range(n)] for a in range(n)]
+    left: list[list[int]] = [[] for _ in gens]  # left[i][p]: index of gens[i]∘elems[p]
+    parents: list[tuple[int, int]] = []  # parents[q - 1]: elems[q] is gens[i]∘elems[p]
+    for p, e in enumerate(elems):  # elems grows during the walk: a BFS queue
+        for i, g in enumerate(gens):
+            q = tuple(g[y] for y in e)  # (g∘e)(x) = g(e(x)), as in (gh)x = g(hx)
+            j = index.get(q)
+            if j is None:
+                j = index[q] = len(elems)
+                elems.append(q)
+                parents.append((i, p))
+                if len(elems) > max_order:
+                    raise GroupError("generated group exceeds size cap")
+            left[i].append(j)
+    mul = [list(range(len(elems)))]
+    for i, p in parents:
+        row = left[i]
+        mul.append([row[c] for c in mul[p]])
     return group_from_table(mul, name)
 
 

@@ -133,10 +133,12 @@ def parse_instance(document) -> ActionInstance:
         action = [list(row) for row in group.mul]
     else:
         try:
-            size = int(space["size"])
+            size = space["size"]
             action = space["action"]
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"bad space description: {exc}") from None
+        if type(size) is not int:
+            raise InstanceFormatError("space.size must be an int")
         if not isinstance(action, list) or not all(
             isinstance(row, list) and all(type(p) is int for p in row) for row in action
         ):

@@ -5,8 +5,8 @@ For every cell (U_n, V_m) and level α the points of U_n are partitioned into
 signature of x records which U_l the local orbit of x meets; the successor
 signature records which level-α pieces of which cells the local orbit meets,
 as canonical triples.  Pieces are the classes of signature equality, so they
-are unions of local orbits, and the per-cell orbit partition is computed once
-and labelled level after level.
+are unions of local orbits; the per-cell orbit partitions are computed once,
+and each distinct orbit is labelled once per level.
 
 Partitions refine downward and the successor table is a function of the
 current table, so the first level whose partitions equal the next level's is
@@ -102,24 +102,23 @@ def _label_cells(cell_orbits, key_of, encode):
     """Label every orbit of every cell with the content hash of its signature.
 
     ``key_of(orbit)`` is the orbit's signature as a sorted tuple and
-    ``encode(key)`` its payload.  Ids are memoised for this one level; a new
-    payload whose id is already taken is a hash collision.  Returns the
-    level's blocks per cell and the new ids with their keys.
+    ``encode(key)`` its payload.  Each distinct orbit is keyed and hashed once
+    per level; a new key whose id is already taken is a hash collision.
+    Returns the level's blocks per cell and the new ids with their keys.
     """
-    ids: dict[tuple, str] = {}
+    labels: dict[int, str] = {}
     keys: dict[str, tuple] = {}
     data = []
     for parts in cell_orbits:
         labelled = []
         for part in parts:
-            key = key_of(part)
-            pid = ids.get(key)
+            pid = labels.get(part)
             if pid is None:
+                key = key_of(part)
                 pid = blake2b(encode(key).encode(), digest_size=8).hexdigest()
-                if pid in keys:
+                if keys.setdefault(pid, key) != key:
                     raise RuntimeError(f"piece-id hash collision on {pid}")
-                ids[key] = pid
-                keys[pid] = key
+                labels[part] = pid
             labelled.append((pid, part))
         data.append(_group_blocks(labelled))
     return data, keys
@@ -143,13 +142,6 @@ def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level):
         return tuple(triples)
 
     return _label_cells(cell_orbits, triples_of, _encode_successor)
-
-
-def _same_partitions(a, b) -> bool:
-    for ca, cb in zip(a, b):
-        if [m for _, m in ca] != [m for _, m in cb]:
-            return False
-    return True
 
 
 def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
@@ -178,7 +170,8 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
         for pid in keys:
             if pid in signatures:
                 raise RuntimeError(f"piece-id hash collision on {pid}")
-        if _same_partitions(data, levels[-1]):
+        # keys hold the orbit's own previous piece, so levels refine: same counts, same partition
+        if all(len(a) == len(b) for a, b in zip(data, levels[-1])):
             break
         for pid, key in keys.items():
             signatures[pid] = Signature(
@@ -218,35 +211,31 @@ def signature(table: PieceTable, x: int, u_idx: int, v_idx: int, level) -> Signa
     return table.signatures[_block_of(table, x, u_idx, v_idx, lvl)[0]]
 
 
-def scott_rank(table: PieceTable, x: int) -> int:
-    """The least level γ ≥ 1 at which orbit-internal piece distinctions are final.
-
-    For every cell and every pair of orbit points inside its U: equal γ-pieces
-    must already imply equal stable pieces.
-    """
-    inst = table.instance
-    orb = orbit(inst, x)
-    stable = table.levels[table.stabilization - 1]
-    for gamma in range(1, table.stabilization + 1):
-        data = table.levels[gamma - 1]
-        ok = True
-        for ci in range(len(table.cells)):
-            stable_blocks = stable[ci]
-            for _, mask in data[ci]:
-                trace = mask & orb
-                if not trace:
-                    continue
+def _final_at(data, stable, orb: int) -> bool:
+    """Whether every block of ``data`` meets ``orb`` inside one stable block."""
+    for blocks, stable_blocks in zip(data, stable):
+        for _, mask in blocks:
+            trace = mask & orb
+            if trace:
                 low = trace & -trace
                 for _, smask in stable_blocks:
                     if smask & low:
                         if trace & ~smask:
-                            ok = False
+                            return False
                         break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+    return True
+
+
+def scott_rank(table: PieceTable, x: int) -> int:
+    """The least level γ ≥ 1 at which orbit-internal piece distinctions are final.
+
+    For every cell and every pair of orbit points inside its U: equal γ-pieces
+    must already imply equal stable pieces.  The stable level always passes.
+    """
+    orb = orbit(table.instance, x)
+    stable = table.levels[-1]
+    for gamma, data in enumerate(table.levels[:-1], 1):
+        if _final_at(data, stable, orb):
             return gamma
     return table.stabilization
 

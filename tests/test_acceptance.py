@@ -19,13 +19,14 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from orbitpieces.bits import to_list
+from orbitpieces.algebra import cyclic_group
+from orbitpieces.bits import mask_of, to_list
 from orbitpieces.classify import (
     classification_report,
     eventual_openness,
     invariant_containment_check,
 )
-from orbitpieces.gspace import make_random, named_instance
+from orbitpieces.gspace import build_instance, make_random, named_instance
 from orbitpieces.harness import build_analysis, run_oracles, serialize_analysis
 from orbitpieces.saturation import orbit_partition
 from orbitpieces.scott import (
@@ -41,10 +42,22 @@ from orbitpieces.scott import (
 EXPLORATORY_SEEDS = range(200)
 STRICT_SEEDS = range(100)
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _z10_level3():
+    # the Z/10 self-action whose analysis stabilizes at level 3 (11 x 3 cells)
+    n = 10
+    act = [[(g + x) % n for x in range(n)] for g in range(n)]
+    seedsU = [mask_of([0, 1, 2, 3, 5, 8, 9])]
+    seedsV = [mask_of([0, 3, 7]), mask_of([0, 2, 8])]
+    return build_instance(cyclic_group(n), n, act, seedsU, seedsV, "exploratory", "z10l3")
+
+
 GOLDEN = {
     **{name: named_instance(name) for name in ("z4self", "swapfix", "z4coarse", "z4pairs")},
     **{f"random{s}": make_random(s) for s in (0, 4, 7)},
     **{f"strict{s}": make_random(s, strict=True) for s in (0, 1, 2)},
+    "z10l3": _z10_level3(),
 }
 
 

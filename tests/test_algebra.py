@@ -45,6 +45,8 @@ def test_table_validation_errors():
         group_from_table([[0, 1]])
     with pytest.raises(GroupError, match="out of range"):
         group_from_table([[0, 1], [1, 5]])
+    with pytest.raises(GroupError, match="out of range"):
+        group_from_table([[0, True], [True, 0]])
     with pytest.raises(GroupError, match="no identity"):
         group_from_table([[1, 0], [1, 0]])
     # the multiplicative monoid {1, 0}: associative with identity, but the
@@ -66,8 +68,58 @@ def test_generator_validation():
         group_from_generators([])
     with pytest.raises(GroupError, match="not a permutation"):
         group_from_generators([(0, 0, 1)])
+    with pytest.raises(GroupError, match="not a permutation"):
+        group_from_generators([(True, 0)])
     with pytest.raises(GroupError, match="degree"):
         group_from_generators([(1, 0), (0, 1, 2)])
+
+
+def _composed_table(generators):
+    """The table by composing every pair of enumerated permutations."""
+
+    def compose(p, q):
+        return tuple(p[q[x]] for x in range(len(p)))
+
+    gens = [tuple(g) for g in generators]
+    identity = tuple(range(len(gens[0])))
+    elems = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = compose(g, p)
+                if q not in index:
+                    index[q] = len(elems)
+                    elems.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    return tuple(tuple(index[compose(a, b)] for b in elems) for a in elems)
+
+
+def _cycle(n):
+    return tuple((x + 1) % n for x in range(n))
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([(1, 0, 2), _cycle(3)], 6),
+    ([_cycle(4), (0, 3, 2, 1)], 8),
+    ([_cycle(7), tuple(-x % 7 for x in range(7))], 14),
+    ([(1, 0, 2, 3, 4), _cycle(5)], 120),
+    ([(1, 0, 2, 3, 4, 5), _cycle(6)], 720),
+], ids=["S3", "D4", "D7", "S5", "S6"])
+def test_generated_table_matches_composition(gens, order):
+    g = group_from_generators(gens)
+    assert g.order == order
+    assert g.mul == _composed_table(gens)
+
+
+def test_generated_group_size_cap():
+    s5 = [(1, 0, 2, 3, 4), _cycle(5)]
+    assert group_from_generators(s5, max_order=120).order == 120
+    with pytest.raises(GroupError, match="size cap"):
+        group_from_generators(s5, max_order=119)
 
 
 def test_build_group_dispatch():

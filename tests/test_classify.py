@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
+from orbitpieces.algebra import group_from_generators, subgroup_closure
+from orbitpieces.bits import bits, to_list
 from orbitpieces.classify import (
     _CONDITION_KEYS,
     classification_report,
     eventual_openness,
     invariant_containment_check,
 )
-from orbitpieces.gspace import make_random, named_instance, orbit
+from orbitpieces.gspace import NAMED_INSTANCES, make_coset_action, make_random, named_instance, orbit
 from orbitpieces.scott import analyze
 
 strict_seeds = st.integers(min_value=0, max_value=150)
@@ -166,3 +170,79 @@ def test_strict_orbits_equal_final_pieces(seed):
     for p in rep["points"]:
         assert p["orbit_equals_final_piece"]
         assert orbit(inst, p["x"]).bit_count() >= 1
+
+
+def _enumerated_containment_check(inst, table, alpha=1, budget=4096, seed=0):
+    """The check with every cell enumerated, one-orbit pieces included."""
+    lvl = table.resolve_level(alpha)
+    violations = []
+    checked = 0
+    exhaustive = True
+    for ci, (n, m) in enumerate(table.cells):
+        u = inst.basisU[n]
+        parts = table.cell_orbits[ci]
+        k = len(parts)
+        blocks = table.levels[lvl - 1][ci]
+
+        def scan(a):
+            for _, mask in blocks:
+                if mask & a and mask & ~a:
+                    return {
+                        "u": n,
+                        "v": m,
+                        "alpha": lvl,
+                        "x": (mask & a & -(mask & a)).bit_length() - 1,
+                        "witness_set": to_list(a),
+                        "piece": to_list(mask),
+                    }
+            return None
+
+        if u.bit_count() <= 12 and (1 << k) <= budget:
+            counters = range(1, 1 << k)
+        else:
+            exhaustive = False
+            rng = random.Random(f"invariant:{seed}:{n}:{m}")
+            counters = (rng.randrange(1, 1 << k) for _ in range(budget)) if k else ()
+        for counter in counters:
+            a = 0
+            for i in bits(counter):
+                a |= parts[i]
+            checked += 1
+            found = scan(a)
+            if found:
+                violations.append(found)
+                break
+    return {
+        "level": lvl,
+        "verdict": not violations,
+        "violations": violations,
+        "exhaustive": exhaustive,
+        "checked": checked,
+        "budget": budget,
+    }
+
+
+def _containment_corpus():
+    for name in NAMED_INSTANCES:
+        yield name, named_instance(name)
+    for s in range(32):
+        yield f"random{s}", make_random(s)
+    for s in range(16):
+        yield f"strict{s}", make_random(s, strict=True)
+    s5 = group_from_generators([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    # elements 1 and 2 are the generators: a transposition and a 5-cycle
+    yield "s5c60", make_coset_action(s5, subgroup_closure(1 << 1, s5))
+    yield "s5c24", make_coset_action(s5, subgroup_closure(1 << 2, s5))
+
+
+def test_containment_check_matches_full_enumeration():
+    seen = set()
+    for key, inst in _containment_corpus():
+        t = analyze(inst)
+        for alpha in (1, 2):
+            for budget in (2, 4096):
+                got = invariant_containment_check(inst, t, alpha, budget, seed=3)
+                assert got == _enumerated_containment_check(inst, t, alpha, budget, seed=3), (
+                    key, alpha, budget)
+                seen.add((got["verdict"], got["exhaustive"]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

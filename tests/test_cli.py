@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from orbitpieces.cli import main
-from orbitpieces.gspace import make_cyclic_self, make_random
+from orbitpieces.gspace import make_cyclic_self, make_random, named_instance
 from orbitpieces.harness import parse_instance, serialize_instance
 
 
@@ -97,6 +97,26 @@ def test_validate_malformed_seeds_and_action(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "validate", "--instance", str(p))
     assert code == 1
     assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+SWAPFIX_ACTION = [[0, 1, 2, 3], [1, 0, 2, 3]]
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("space", {"size": 4.5, "action": SWAPFIX_ACTION}, "space.size"),
+    ("space", {"size": "4", "action": SWAPFIX_ACTION}, "space.size"),
+    ("group", {"mul": [[0, True], [True, 0]]}, "entry True"),
+    ("group", {"generators": [[True, 0]]}, "generator 0 is not a permutation"),
+], ids=["size-float", "size-string", "mul-bool", "generator-bool"])
+def test_validate_rejects_non_int_numbers(capsys, tmp_path, section, value, message):
+    # bools are ints to isinstance, and int() accepts 4.5 and "4"
+    doc = json.loads(serialize_instance(named_instance("swapfix")))
+    doc[section] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--instance", str(p))
+    assert code == 1
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [

@@ -206,6 +206,24 @@ def test_piece_id_collision_raises(monkeypatch):
         analyze(named_instance("z4pairs"))
 
 
+def test_piece_id_collision_within_a_level_raises(monkeypatch):
+    # Every level-1 payload hashes as the first one; successor payloads hash
+    # truly, so only the check inside the level can see the clash.
+    from hashlib import blake2b
+
+    first: list[bytes] = []
+
+    def fake(data: bytes, digest_size: int):
+        if data.startswith(b"1|"):
+            first[:] = first or [data]
+            data = first[0]
+        return _FixedDigest(blake2b(data, digest_size=digest_size).hexdigest())
+
+    monkeypatch.setattr("orbitpieces.scott.blake2b", fake)
+    with pytest.raises(RuntimeError, match="collision"):
+        analyze(named_instance("z4pairs"))
+
+
 def test_piece_id_collision_across_levels_raises(monkeypatch):
     # Only the first successor payload is given a level-1 id, so the clash is
     # invisible inside any one level.
