@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import bits, universe
+from .bits import bits, to_list, universe
 
 
 class GroupError(ValueError):
@@ -235,12 +235,49 @@ def is_subgroup(mask: int, g: Group) -> bool:
 def all_subgroups(g: Group) -> list[int]:
     """Every subgroup of g as a bitmask, ordered by (size, mask value).
 
-    Exhaustive scan over all 2^|G| masks, each tested in up to |G|² products:
-    about 65,000 masks at |G| = 16 and 16.8 million at |G| = 24.
+    Cyclic extension (Neubüser 1960): every subgroup is generated by its
+    cyclic subgroups, so starting from the distinct ⟨e⟩ and joining each
+    subgroup found with each cyclic subgroup it does not contain reaches all
+    of them.  A join ⟨H, e⟩ is the breadth-first closure of H under right
+    multiplication by H's kept generators and e; in a finite group that
+    closure is already the subgroup.  The cost is about
+    (#subgroups) × (#cyclic subgroups) joins of at most |G| × (#generators)
+    products each, not 2^|G| masks: S5 (156 subgroups, 67 cyclic) takes
+    well under a second.
     """
-    out = [m for m in range(1, g.full + 1) if m & 1 and is_subgroup(m, g)]
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    mul = g.mul
+    cyclic: dict[int, int] = {}  # ⟨e⟩ -> e, for the least e generating it
+    for e in range(g.order):
+        m, p = 1, e
+        while p:
+            m |= 1 << p
+            p = mul[p][e]
+        cyclic.setdefault(m, e)
+    gens_of = {m: (e,) for m, e in cyclic.items()}
+    todo = list(gens_of)
+    while todo:
+        h = todo.pop()
+        gens = gens_of[h]
+        for e in cyclic.values():
+            if h >> e & 1:
+                continue
+            joined = gens + (e,)
+            k = h
+            frontier = to_list(h)
+            while frontier:
+                new = []
+                for p in frontier:
+                    row = mul[p]
+                    for s in joined:
+                        q = row[s]
+                        if not k >> q & 1:
+                            k |= 1 << q
+                            new.append(q)
+                frontier = new
+            if k not in gens_of:
+                gens_of[k] = joined
+                todo.append(k)
+    return sorted(gens_of, key=lambda m: (m.bit_count(), m))
 
 
 def subgroup_closure(seed: int, g: Group) -> int:

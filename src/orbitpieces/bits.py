@@ -21,7 +21,18 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def to_list(mask: int) -> list[int]:
-    return list(bits(mask))
+    """The set bit positions of ``mask`` in increasing order, as a list.
+
+    The loop is written out rather than drawn from ``bits``: the set kernels
+    list each operand once per call, and a generator costs a frame resume
+    per element.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_subset(a: int, b: int) -> bool:

@@ -53,14 +53,18 @@ def _fmt_set(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
 
 
-def _parse_set(text: str) -> int:
+def _parse_set(text: str, bound: int) -> int:
     body = text.strip().strip("{}")
     if not body:
         return 0
     try:
-        return mask_of(int(part) for part in body.split(","))
+        items = [int(part) for part in body.split(",")]
     except ValueError:
         raise InstanceFormatError(f"bad set literal {text!r}") from None
+    for i in items:
+        if not 0 <= i < bound:
+            raise InstanceFormatError(f"bad set literal {text!r}: {i} is not in range({bound})")
+    return mask_of(items)
 
 
 def _parse_level(text: str):
@@ -81,7 +85,22 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _instance(args):
-    return load_instance(args.instance, getattr(args, "mode_override", None))
+    """The instance named by --instance, with its point and family indices checked.
+
+    Python would read a negative index from the end; one past the end would
+    read as an empty set (``1 << x`` beyond the space), and a huge one would
+    allocate that many bits.
+    """
+    inst = load_instance(args.instance, getattr(args, "mode_override", None))
+    bounds = {"x": inst.size, "x2": inst.size, "u": len(inst.basisU), "v": len(inst.basisV)}
+    for name, bound in bounds.items():
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < bound:
+            raise InstanceFormatError(
+                f"index out of range: --{name} must be a non-negative index below {bound}, "
+                f"got {value}"
+            )
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +128,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_saturate(args) -> int:
     inst = _instance(args)
-    a = _parse_set(args.set)
+    a = _parse_set(args.set, inst.size)
     u = inst.basisU[args.u]
     v = inst.basisV[args.v]
     result = saturate(inst, a, u, v)
@@ -140,12 +159,12 @@ def _cmd_reach(args) -> int:
 
 def _cmd_transform(args) -> int:
     inst = _instance(args)
-    a = _parse_set(args.set)
+    a = _parse_set(args.set, inst.size)
     kind = args.kind
     if kind in ("delta", "star"):
         if args.elems is None:
             raise InstanceFormatError(f"transform kind {kind!r} needs --elems")
-        h = _parse_set(args.elems)
+        h = _parse_set(args.elems, inst.group.order)
         result = delta(inst, a, h) if kind == "delta" else star(inst, a, h)
     else:
         if args.u is None or args.v is None:
@@ -478,17 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Point and family indices; Python would read a negative one from the end.
-_INDEX_ARGS = ("u", "v", "x", "x2")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in _INDEX_ARGS:
-            if (getattr(args, name, None) or 0) < 0:
-                raise InstanceFormatError(f"--{name} must be a non-negative index")
         code = args.fn(args)
         sys.stdout.flush()
         return code

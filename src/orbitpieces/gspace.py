@@ -61,7 +61,7 @@ def translate_set(inst: ActionInstance, a: int, g: int) -> int:
     """Pointwise image g·A of a point set under one group element."""
     row = inst.act[g]
     m = 0
-    for x in bits(a):
+    for x in to_list(a):
         m |= 1 << row[x]
     return m
 

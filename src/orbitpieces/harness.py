@@ -476,15 +476,17 @@ def _suite_vaught(ctx: _Ctx):
             if not is_subset(stages_s[i + 1], stages_s[i]):
                 ctx.fail("vaught", "star-stages-decrease", (n, m), A=to_list(a), stage=i + 1)
         for x in bits(u):
-            for i, sd in enumerate(stages_d):
+            # each check stops at its first failing stage
+            ok_d = ok_s = True
+            for i, (sd, ss) in enumerate(zip(stages_d, stages_s)):
                 r = reach_sets(inst, x, u, v, i + 1)
-                if bool(sd >> x & 1) != bool(delta(inst, a, r) >> x & 1):
+                if ok_d and bool(sd >> x & 1) != bool(delta(inst, a, r) >> x & 1):
                     ctx.fail("vaught", "stage-reach-delta", (n, m), A=to_list(a), x=x, stage=i + 1)
-                    break
-            for i, ss in enumerate(stages_s):
-                r = reach_sets(inst, x, u, v, i + 1)
-                if bool(ss >> x & 1) != bool(star(inst, a, r) >> x & 1):
+                    ok_d = False
+                if ok_s and bool(ss >> x & 1) != bool(star(inst, a, r) >> x & 1):
                     ctx.fail("vaught", "stage-reach-star", (n, m), A=to_list(a), x=x, stage=i + 1)
+                    ok_s = False
+                if not (ok_d or ok_s):
                     break
         ld = local_delta(inst, a, u, v)
         ls = local_star(inst, a, u, v)
@@ -554,11 +556,15 @@ def _suite_vaught(ctx: _Ctx):
         ctx.rng.shuffle(pts)
         for x in pts[:3]:
             r = cached_reach(inst, x, u, v)
+            r_elems = to_list(r)
             in_union = False
             in_inter = True
             for v2 in subsets:
-                for g in bits(r):
-                    v2g = mask_of(mul[e][g] for e in bits(v2))
+                v2_rows = [mul[e] for e in to_list(v2)]
+                for g in r_elems:
+                    v2g = 0
+                    for row in v2_rows:
+                        v2g |= 1 << row[g]
                     if not is_subset(v2g, r):
                         continue
                     s = star_c.get(v2g)
@@ -981,6 +987,27 @@ SUITES = tuple(_SUITE_FUNCS)
 
 DEFAULT_TRIALS = 16
 
+# The vaught suite's elementwise decomposition lists every symmetric subset
+# of a neighbourhood that contains the identity: 2^k of them for the full
+# group, which every V-family holds, where k counts the classes {g, g⁻¹} of
+# non-identity elements.  At k = 16 that is 65,536 subsets.
+MAX_VAUGHT_INVERSE_CLASSES = 16
+
+
+def _check_suite_request(inst: ActionInstance, suite: str) -> None:
+    """Refuse, before any work, an unknown suite or a vaught run past its cap."""
+    if suite != "all" and suite not in _SUITE_FUNCS:
+        raise ValueError(f"unknown suite {suite!r}")
+    if suite in ("all", "vaught"):
+        inv = inst.group.inv
+        k = sum(1 for e in range(1, inst.group.order) if e <= inv[e])
+        if k > MAX_VAUGHT_INVERSE_CLASSES:
+            raise ValueError(
+                f"the vaught suite would list 2^{k} symmetric subsets of the group "
+                f"({k} classes {{g, g^-1}}; at most {MAX_VAUGHT_INVERSE_CLASSES} "
+                "are allowed); choose another suite"
+            )
+
 
 def run_oracles(
     inst: ActionInstance,
@@ -994,10 +1021,11 @@ def run_oracles(
     The log is a deterministic function of (instance, suite, seed, trials);
     each suite reseeds its own generator, so running "all" produces exactly
     the union of the individual runs.  Entries with severity "assert" signal
-    oracle failures; "report" entries are exploratory findings.
+    oracle failures; "report" entries are exploratory findings.  A run that
+    includes the vaught suite is refused with ``ValueError`` when the group
+    has more than ``MAX_VAUGHT_INVERSE_CLASSES`` classes {g, g⁻¹}.
     """
-    if suite != "all" and suite not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {suite!r}")
+    _check_suite_request(inst, suite)
     if table is None:
         table = analyze(inst)
     ctx = _Ctx(inst, table, seed, trials if trials is not None else DEFAULT_TRIALS)
@@ -1025,7 +1053,11 @@ def build_analysis(
     trials: int | None = None,
     suite: str = "all",
 ) -> dict:
-    """The full analysis document: piece table, ranks, classification, oracle log."""
+    """The full analysis document: piece table, ranks, classification, oracle log.
+
+    Raises ``ValueError`` up front for a suite that ``run_oracles`` refuses.
+    """
+    _check_suite_request(inst, suite)
     table = analyze(inst)
     levels = []
     for lvl in range(1, table.stabilization + 1):

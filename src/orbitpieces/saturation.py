@@ -8,32 +8,47 @@ Reach sets ⟨V⟩ˣ_U collect the group elements expressible as products of
 V-steps all of whose partial applications keep x inside U; the local orbit is
 exactly the reach set applied to x.  For x ∉ U every reach set is empty, at
 every depth, including depth 0.
+
+Both fixpoints are computed semi-naively: a round expands only what the round
+before it added, since everything reachable from older members is already in
+the current stage.  The stages, and so every finite depth and the limit, are
+the same as when the whole stage is expanded each round.  The set kernels
+(``act_image`` here, ``translate_set`` in ``gspace``, ``delta``/``star`` in
+``transforms``) list each operand's members once per call and index the
+action rows directly.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from .bits import bits
-from .gspace import ActionInstance, translate_set
+from .bits import bits, to_list
+from .gspace import ActionInstance
 
 
 def act_image(inst: ActionInstance, a: int, v: int) -> int:
     """The set V·A = {g·x : g ∈ V, x ∈ A}."""
+    act = inst.act
+    pts = to_list(a)
     m = 0
-    for g in bits(v):
-        m |= translate_set(inst, a, g)
+    for g in to_list(v):
+        row = act[g]
+        for x in pts:
+            m |= 1 << row[x]
     return m
 
 
 def saturate(inst: ActionInstance, a: int, u: int, v: int) -> int:
-    """The local V_U-saturation of A: least fixpoint of S ↦ (V·S ∪ S) ∩ U from A∩U."""
-    cur = a & u
-    while True:
-        nxt = (cur | act_image(inst, cur, v)) & u
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The local V_U-saturation of A: least fixpoint of S ↦ (V·S ∪ S) ∩ U from A∩U.
+
+    V·S is a union over the points of S, so each round applies V only to the
+    points the last round added; the images of older points are already in.
+    """
+    cur = new = a & u
+    while new:
+        new = act_image(inst, new, v) & u & ~cur
+        cur |= new
+    return cur
 
 
 def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
@@ -47,23 +62,29 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     Stage 0 is {identity} when x ∈ U; stage n+1 collects the products g·h
     with h in stage n, g ∈ V and (g·h)·x ∈ U.  The stages increase, so the
     full set is the fixpoint.
+
+    The stages are computed semi-naively: the products g·h with h already in
+    stage n-1 lie in stage n, so stage n+1 is stage n plus the admissible
+    products whose h is new at stage n.  Each element is expanded once, and
+    every finite depth, as well as the fixpoint, gives the same set as
+    expanding the whole stage each time.
     """
     if not u >> x & 1:
         return 0
-    mul = inst.group.mul
+    rows = [inst.group.mul[g] for g in to_list(v)]
     act = inst.act
     cur = 1  # {identity}
+    new = [0]
     n = 0
-    while depth is None or n < depth:
-        nxt = cur
-        for h in bits(cur):
-            for g in bits(v):
-                gh = mul[g][h]
-                if u >> act[gh][x] & 1:
-                    nxt |= 1 << gh
-        if nxt == cur:
-            return cur  # stages increase, so once fixed they stay fixed
-        cur = nxt
+    while new and (depth is None or n < depth):  # no new elements: fixed
+        added = []
+        for h in new:
+            for row in rows:
+                gh = row[h]
+                if not cur >> gh & 1 and u >> act[gh][x] & 1:
+                    cur |= 1 << gh
+                    added.append(gh)
+        new = added
         n += 1
     return cur
 

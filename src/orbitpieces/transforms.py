@@ -21,18 +21,22 @@ stabilize within |U| rounds.
 
 from __future__ import annotations
 
-from .bits import bits
-from .gspace import ActionInstance, translate_set
+from .bits import to_list
+from .gspace import ActionInstance
 
 
 def delta(inst: ActionInstance, a: int, h: int) -> int:
     """{x : ∃g ∈ H, g·x ∈ A}.  H must be nonempty."""
     if h == 0:
         raise ValueError("transform over empty set")
+    act = inst.act
     inv = inst.group.inv
+    pts = to_list(a)
     out = 0
-    for g in bits(h):
-        out |= translate_set(inst, a, inv[g])
+    for g in to_list(h):
+        row = act[inv[g]]
+        for x in pts:
+            out |= 1 << row[x]
     return out
 
 
@@ -40,10 +44,16 @@ def star(inst: ActionInstance, a: int, h: int) -> int:
     """{x : ∀g ∈ H, g·x ∈ A}.  H must be nonempty."""
     if h == 0:
         raise ValueError("transform over empty set")
+    act = inst.act
     inv = inst.group.inv
+    pts = to_list(a)
     out = inst.full_points
-    for g in bits(h):
-        out &= translate_set(inst, a, inv[g])
+    for g in to_list(h):
+        row = act[inv[g]]
+        img = 0
+        for x in pts:
+            img |= 1 << row[x]
+        out &= img
     return out
 
 
@@ -55,44 +65,54 @@ def _check_neighborhood(v: int) -> None:
 
 
 def local_delta_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
-    """The stage transform A^{Δ_U(V,n)}, n ≥ 1."""
+    """The stage transform A^{Δ_U(V,n)}, n ≥ 1.
+
+    Once two consecutive stages agree every later one does, so the loop
+    stops there: a huge n costs no more than the limit.
+    """
     if n < 1:
         raise ValueError("stage must be >= 1")
     _check_neighborhood(v)
     cur = delta(inst, a & u, v) & u
     for _ in range(n - 1):
-        cur = delta(inst, cur, v) & u
+        nxt = delta(inst, cur, v) & u
+        if nxt == cur:
+            break
+        cur = nxt
     return cur
 
 
 def local_star_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
-    """The stage transform A^{*_U(V,n)}, n ≥ 1 (with X∖U padding)."""
+    """The stage transform A^{*_U(V,n)}, n ≥ 1 (with X∖U padding).
+
+    Stops once two consecutive stages agree, as ``local_delta_n`` does.
+    """
     if n < 1:
         raise ValueError("stage must be >= 1")
     _check_neighborhood(v)
     pad = inst.full_points & ~u
     cur = star(inst, (a & u) | pad, v) & u
     for _ in range(n - 1):
-        cur = star(inst, cur | pad, v) & u
+        nxt = star(inst, cur | pad, v) & u
+        if nxt == cur:
+            break
+        cur = nxt
     return cur
 
 
 def local_delta(inst: ActionInstance, a: int, u: int, v: int) -> int:
-    """The limit transform A^{Δ_U V} = union of the increasing delta stages."""
-    cur = local_delta_n(inst, a, u, v, 1)
-    while True:
-        nxt = delta(inst, cur, v) & u
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The limit transform A^{Δ_U V} = union of the increasing delta stages.
+
+    Each stage that differs from the one before it adds a point of U, so
+    stage |U| + 1 is the limit.
+    """
+    return local_delta_n(inst, a, u, v, u.bit_count() + 1)
 
 
 def local_star(inst: ActionInstance, a: int, u: int, v: int) -> int:
-    """The limit transform A^{*_U V} = intersection of the decreasing star stages."""
-    pad = inst.full_points & ~u
-    cur = local_star_n(inst, a, u, v, 1)
-    while True:
-        nxt = star(inst, cur | pad, v) & u
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The limit transform A^{*_U V} = intersection of the decreasing star stages.
+
+    Each stage that differs from the one before it drops a point of U, so
+    stage |U| + 1 is the limit.
+    """
+    return local_star_n(inst, a, u, v, u.bit_count() + 1)

@@ -20,6 +20,7 @@ from orbitpieces.algebra import (
     symmetric_group_3,
 )
 from orbitpieces.bits import bits, mask_of, to_list
+from orbitpieces.gspace import _group_catalogue
 
 
 def test_cyclic_group_table():
@@ -163,6 +164,42 @@ def test_all_subgroups_z4():
 def test_all_subgroups_s3_count():
     # 1 trivial + 3 transpositions + 1 rotation subgroup + S3 itself
     assert len(all_subgroups(symmetric_group_3())) == 6
+
+
+def _scan_subgroups(g):
+    """The reference: every mask with the identity, tested for closure."""
+    out = [m for m in range(1, g.full + 1) if m & 1 and is_subgroup(m, g)]
+    out.sort(key=lambda m: (m.bit_count(), m))
+    return out
+
+
+def _small_groups():
+    yield from _group_catalogue(16)
+    yield dihedral_group(8)
+    yield direct_product(cyclic_group(2), cyclic_group(8))
+
+
+@pytest.mark.parametrize("g", _small_groups(), ids=lambda g: f"{g.name}-{g.order}")
+def test_all_subgroups_matches_the_exhaustive_scan(g):
+    assert all_subgroups(g) == _scan_subgroups(g)
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [
+        (group_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)]), 30),  # S4
+        (group_from_generators([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]), 156),  # S5
+        (direct_product(cyclic_group(4), cyclic_group(6)), 16),
+        (cyclic_group(32), 6),
+    ],
+    ids=["S4", "S5", "Z4xZ6", "Z32"],
+)
+def test_all_subgroups_known_counts(g, count):
+    subs = all_subgroups(g)
+    assert len(subs) == count
+    assert subs == sorted(set(subs), key=lambda m: (m.bit_count(), m))
+    assert subs[0] == 1 and subs[-1] == g.full
+    assert all(subgroup_closure(m, g) == m for m in subs)
 
 
 def test_family_closure_order_is_first_seen():

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from orbitpieces.algebra import group_from_generators, subgroup_closure
 from orbitpieces.cli import main
-from orbitpieces.gspace import make_cyclic_self, make_random, named_instance
-from orbitpieces.harness import parse_instance, serialize_instance
+from orbitpieces.gspace import make_coset_action, make_cyclic_self, make_random, named_instance
+from orbitpieces.harness import build_analysis, parse_instance, run_oracles, serialize_instance
 
 
 def run(capsys, *argv):
@@ -128,6 +129,21 @@ def test_negative_indices_rejected(capsys, flags):
     code, out, err = run(capsys, flags[0], "--instance", "z4self", *flags[1:])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "non-negative" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("orbit", "--x", "4", "--u", "0", "--v", "0"), "--x must be a non-negative index below 4"),
+    (("orbit", "--x", str(2**20), "--u", "0", "--v", "0"), "below 4"),
+    (("reach", "--x", "0", "--u", "0", "--v", "2"), "--v must be a non-negative index below 2"),
+    (("saturate", "--set", "0,4", "--u", "0", "--v", "0"), "4 is not in range(4)"),
+    (("transform", "--kind", "delta", "--set", "1", "--elems", "0,9"), "9 is not in range(4)"),
+])
+def test_indices_and_set_members_past_the_end_rejected(capsys, flags, message):
+    # a point past the end used to read as an empty set, and 1 << x for a
+    # huge x allocates x bits
+    code, out, err = run(capsys, flags[0], "--instance", "z4self", *flags[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_saturate_bad_set_literal(capsys):
@@ -382,6 +398,36 @@ def test_report_document(capsys, tmp_path):
     assert doc["schema"] == "orbitpieces-analysis/1"
     assert doc["parameters"] == {"seed": 0, "trials": 2, "suite": "phar"}
     assert doc["oracle_log"] == []
+
+
+def test_report_completes_on_z32(capsys, tmp_path):
+    # 16 classes {g, -g}: the largest group the vaught suite accepts, and a
+    # 2^32 subgroup scan before cyclic extension
+    doc = tmp_path / "z32self.json"
+    doc.write_text(serialize_instance(make_cyclic_self(32)))
+    code, out, err = run(capsys, "report", "--instance", str(doc))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["stabilization"] >= 1
+    assert not [e for e in report["oracle_log"] if e["severity"] == "assert"]
+
+
+def test_report_refuses_the_vaught_wall_up_front(capsys, tmp_path):
+    s5 = group_from_generators([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    inst = make_coset_action(s5, subgroup_closure(1 << 2, s5), name="s5c24")  # 5-cycles
+    doc = tmp_path / "s5c24.json"
+    doc.write_text(serialize_instance(inst))
+    for suite in ("all", "vaught"):
+        code, out, err = run(capsys, "report", "--instance", str(doc), "--suite", suite)
+        assert code == 1 and out == ""
+        assert err.startswith("error: the vaught suite would list 2^72 symmetric subsets")
+        assert "Traceback" not in err
+    for call in (
+        lambda: build_analysis(inst),
+        lambda: run_oracles(inst, "vaught"),
+    ):
+        with pytest.raises(ValueError, match="2\\^72"):
+            call()
 
 
 def test_module_entry_point():

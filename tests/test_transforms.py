@@ -166,3 +166,14 @@ def test_invariant_sets_pass_through():
     a = saturate(inst, 0b0001, u, v)
     assert local_delta(inst, a, u, v) == a
     assert local_star(inst, a, u, v) == a
+
+
+def test_stage_transforms_stop_at_the_limit():
+    # the stage loops end once two stages agree, so a huge stage costs no
+    # more than the limit instead of 10^9 rounds
+    inst = make_random(5)
+    for u in inst.basisU:
+        for v in inst.basisV:
+            a = u & 0b1010101010
+            assert local_delta_n(inst, a, u, v, 10**9) == local_delta(inst, a, u, v)
+            assert local_star_n(inst, a, u, v, 10**9) == local_star(inst, a, u, v)
