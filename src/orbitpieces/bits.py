@@ -35,6 +35,18 @@ def to_list(mask: int) -> list[int]:
     return out
 
 
+def image_mask(row, pts: list[int]) -> int:
+    """The mask {row[x] : x in pts}: the image of listed points under one table row.
+
+    The set kernels list an operand once with ``to_list`` and call this once
+    per group element.
+    """
+    m = 0
+    for x in pts:
+        m |= 1 << row[x]
+    return m
+
+
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

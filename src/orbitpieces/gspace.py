@@ -33,7 +33,7 @@ from .algebra import (
     symmetric_closure,
     symmetric_group_3,
 )
-from .bits import bits, mask_of, to_list, universe
+from .bits import bits, image_mask, mask_of, to_list, universe
 
 MODES = ("strict", "exploratory")
 
@@ -59,11 +59,7 @@ class ActionInstance:
 
 def translate_set(inst: ActionInstance, a: int, g: int) -> int:
     """Pointwise image g·A of a point set under one group element."""
-    row = inst.act[g]
-    m = 0
-    for x in to_list(a):
-        m |= 1 << row[x]
-    return m
+    return image_mask(inst.act[g], to_list(a))
 
 
 def orbit(inst: ActionInstance, x: int) -> int:

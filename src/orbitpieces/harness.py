@@ -476,17 +476,14 @@ def _suite_vaught(ctx: _Ctx):
             if not is_subset(stages_s[i + 1], stages_s[i]):
                 ctx.fail("vaught", "star-stages-decrease", (n, m), A=to_list(a), stage=i + 1)
         for x in bits(u):
-            # each check stops at its first failing stage
-            ok_d = ok_s = True
-            for i, (sd, ss) in enumerate(zip(stages_d, stages_s)):
-                r = reach_sets(inst, x, u, v, i + 1)
-                if ok_d and bool(sd >> x & 1) != bool(delta(inst, a, r) >> x & 1):
+            rs = [reach_sets(inst, x, u, v, i + 1) for i in range(len(stages_d))]
+            for i, sd in enumerate(stages_d):
+                if bool(sd >> x & 1) != bool(delta(inst, a, rs[i]) >> x & 1):
                     ctx.fail("vaught", "stage-reach-delta", (n, m), A=to_list(a), x=x, stage=i + 1)
-                    ok_d = False
-                if ok_s and bool(ss >> x & 1) != bool(star(inst, a, r) >> x & 1):
+                    break
+            for i, ss in enumerate(stages_s):
+                if bool(ss >> x & 1) != bool(star(inst, a, rs[i]) >> x & 1):
                     ctx.fail("vaught", "stage-reach-star", (n, m), A=to_list(a), x=x, stage=i + 1)
-                    ok_s = False
-                if not (ok_d or ok_s):
                     break
         ld = local_delta(inst, a, u, v)
         ls = local_star(inst, a, u, v)
@@ -990,8 +987,19 @@ DEFAULT_TRIALS = 16
 # The vaught suite's elementwise decomposition lists every symmetric subset
 # of a neighbourhood that contains the identity: 2^k of them for the full
 # group, which every V-family holds, where k counts the classes {g, g⁻¹} of
-# non-identity elements.  At k = 16 that is 65,536 subsets.
-MAX_VAUGHT_INVERSE_CLASSES = 16
+# non-identity elements.  Each subset is then translated by every element of
+# a reach set, so the work grows like 2^k·|G|·k, and k ≥ (|G| - 1)/2.
+# Measured `report` (build_analysis, default seed) on the regular action,
+# 2-core VM:
+#   k = 16: S4 1.4 s, Z/32 1.0 s;  k = 17: Z/34 4.1 s;  k = 18: D12 2.6 s;
+#   k = 19: Z2×D6 5.3 s, Z2²×S3 4.7 s, D13 5.1 s, Z/38 9.2 s, Z/39 9.5 s
+#           (peak RSS 66 MB);
+#   k = 20: Z/40 40 s (113 MB);  k = 21: D14 35 s (193 MB).
+# At 19 every group of order ≤ 26 is accepted (none has more classes), and
+# k ≤ 19 bounds |G| by 39.  The cap bounds the listing, not the worst cell:
+# with U the whole space and V the whole group all 2^k·|G| translates are
+# transformed, 70 s and 310 MB for one point of S4.
+MAX_VAUGHT_INVERSE_CLASSES = 19
 
 
 def _check_suite_request(inst: ActionInstance, suite: str) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 
-from .bits import bits, to_list
+from .bits import bits, image_mask, to_list
 from .gspace import ActionInstance
 
 
@@ -32,9 +32,7 @@ def act_image(inst: ActionInstance, a: int, v: int) -> int:
     pts = to_list(a)
     m = 0
     for g in to_list(v):
-        row = act[g]
-        for x in pts:
-            m |= 1 << row[x]
+        m |= image_mask(act[g], pts)
     return m
 
 

@@ -21,7 +21,7 @@ stabilize within |U| rounds.
 
 from __future__ import annotations
 
-from .bits import to_list
+from .bits import image_mask, to_list
 from .gspace import ActionInstance
 
 
@@ -34,9 +34,7 @@ def delta(inst: ActionInstance, a: int, h: int) -> int:
     pts = to_list(a)
     out = 0
     for g in to_list(h):
-        row = act[inv[g]]
-        for x in pts:
-            out |= 1 << row[x]
+        out |= image_mask(act[inv[g]], pts)
     return out
 
 
@@ -49,11 +47,7 @@ def star(inst: ActionInstance, a: int, h: int) -> int:
     pts = to_list(a)
     out = inst.full_points
     for g in to_list(h):
-        row = act[inv[g]]
-        img = 0
-        for x in pts:
-            img |= 1 << row[x]
-        out &= img
+        out &= image_mask(act[inv[g]], pts)
     return out
 
 

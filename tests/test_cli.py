@@ -401,8 +401,8 @@ def test_report_document(capsys, tmp_path):
 
 
 def test_report_completes_on_z32(capsys, tmp_path):
-    # 16 classes {g, -g}: the largest group the vaught suite accepts, and a
-    # 2^32 subgroup scan before cyclic extension
+    # 16 classes {g, -g} for the vaught suite, and a 2^32 subgroup scan
+    # before cyclic extension
     doc = tmp_path / "z32self.json"
     doc.write_text(serialize_instance(make_cyclic_self(32)))
     code, out, err = run(capsys, "report", "--instance", str(doc))

@@ -4,9 +4,18 @@ import json
 
 import pytest
 
+from orbitpieces import harness
+from orbitpieces.algebra import (
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    group_from_generators,
+    symmetric_group_3,
+)
 from orbitpieces.gspace import (
     NAMED_INSTANCES,
     InstanceError,
+    make_coset_action,
     make_random,
     named_instance,
 )
@@ -130,6 +139,31 @@ def test_run_oracles_unknown_suite():
     inst = named_instance("z4self")
     with pytest.raises(ValueError, match="unknown suite"):
         run_oracles(inst, suite="nope")
+
+
+def test_vaught_cap_accepts_every_group_up_to_order_26(monkeypatch):
+    # the cap counts classes {g, g^-1} of non-identity elements; the most at
+    # orders <= 26 is 19 (Z2xD6 ~ Z2^2xS3 at 24, D13 at 26)
+    monkeypatch.setitem(harness._SUITE_FUNCS, "vaught", lambda ctx: None)
+    z2 = cyclic_group(2)
+    accepted = {
+        "Z24": (cyclic_group(24), 12),
+        "S4": (group_from_generators([(1, 0, 2, 3), (1, 2, 3, 0)]), 16),
+        "D12": (dihedral_group(12), 18),
+        "Z2xD6": (direct_product(z2, dihedral_group(6)), 19),
+        "Z2^2xS3": (direct_product(direct_product(z2, z2), symmetric_group_3()), 19),
+        "D13": (dihedral_group(13), 19),
+    }
+    for name, (group, classes) in accepted.items():
+        assert sum(1 for e in range(1, group.order) if e <= group.inv[e]) == classes, name
+        assert run_oracles(make_coset_action(group, 1), "vaught") == [], name
+    for group, classes in ((cyclic_group(40), 20), (dihedral_group(14), 21)):
+        inst = make_coset_action(group, 1)
+        for suite in ("all", "vaught"):
+            with pytest.raises(ValueError, match=f"2\\^{classes} symmetric subsets"):
+                run_oracles(inst, suite)
+        assert run_oracles(inst, "orb", trials=1) == []
+    assert harness.MAX_VAUGHT_INVERSE_CLASSES == 19
 
 
 def test_definitional_suites_empty_on_exploratory_corpus():
