@@ -48,6 +48,12 @@ from .transforms import (
 # neighbourhoods than this: its opens could number 2^k.
 MAX_LISTED_NEIGHBORHOODS = 16
 
+# `generate --template cyclic` refuses orders above this: Z/n's document holds
+# n×n tables.  Timed in-process through `main` on a 2-core VM, n = 256, 512,
+# 768 and 1,000 took 0.24, 1.1, 2.2 and 4.6 s and peaked at 33, 79, 158 and
+# 259 MB; 2,000 took 16.5 s and 1 GB.
+MAX_CYCLIC_ORDER = 512
+
 
 def _fmt_set(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
@@ -345,6 +351,11 @@ def _cmd_generate(args) -> int:
     elif args.template == "strict":
         inst = make_random(args.seed, strict=True)
     elif args.template == "cyclic":
+        if not 1 <= args.n <= MAX_CYCLIC_ORDER:
+            raise InstanceFormatError(
+                f"--n must be between 1 and {MAX_CYCLIC_ORDER} for the cyclic template, "
+                f"got {args.n}"
+            )
         inst = make_cyclic_self(args.n)
     else:
         raise InstanceFormatError(f"unknown template {args.template!r}")
@@ -383,8 +394,17 @@ def _add_common(sub, *, instance=True):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with an ``error:`` line, like every other rejected
+    input; argparse's own code 2 means assert failures here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitpieces",
         description="finite local-orbit piece analysis: saturations, transforms, "
                     "canonical partitions, ranks, refined topologies, oracles",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitpieces.algebra import (
+    MAX_GENERATED_ORDER,
     GroupError,
     all_subgroups,
     build_group,
@@ -121,6 +122,13 @@ def test_generated_group_size_cap():
     assert group_from_generators(s5, max_order=120).order == 120
     with pytest.raises(GroupError, match="size cap"):
         group_from_generators(s5, max_order=119)
+
+
+def test_s7_exceeds_the_default_size_cap():
+    # S6 (720) is accepted above; S7 would need a 5,040 × 5,040 table
+    assert MAX_GENERATED_ORDER >= 720
+    with pytest.raises(GroupError, match=f"size cap of {MAX_GENERATED_ORDER} elements"):
+        group_from_generators([(1, 0, 2, 3, 4, 5, 6), _cycle(7)])
 
 
 def test_build_group_dispatch():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from orbitpieces.algebra import group_from_generators, subgroup_closure
-from orbitpieces.cli import main
+from orbitpieces.cli import MAX_CYCLIC_ORDER, main
 from orbitpieces.gspace import make_coset_action, make_cyclic_self, make_random, named_instance
 from orbitpieces.harness import build_analysis, parse_instance, run_oracles, serialize_instance
 
@@ -461,4 +461,51 @@ def test_broken_pipe_exits_without_traceback(tmp_path):
 def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["pieces", "--instance", "z4self"])  # missing required flags
-    assert exc.value.code == 2  # argparse usage errors
+    assert exc.value.code == 1  # argparse usage errors
+
+
+@pytest.mark.parametrize("argv", [
+    ["pieces", "--instance", "z4self"],                       # missing required flags
+    ["orbit", "--instance", "z4self", "--x=abc"],             # not an int
+    ["transform", "--instance", "z4self", "--kind", "nope", "--set", "0"],  # bad choice
+    ["rank", "--instance", "z4self", "--bogus"],              # unknown flag
+    ["nosuch"],                                               # unknown command
+    [],                                                       # no command
+])
+def test_usage_errors_exit_1_with_an_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+def test_generate_cyclic_order_is_capped_up_front(capsys, monkeypatch):
+    code, out, _ = run(capsys, "generate", "--template", "cyclic", "--n", "32")
+    assert code == 0 and parse_instance(out).size == 32
+
+    def no_table(n, name=""):
+        raise AssertionError("a refused order must not build a table")
+
+    monkeypatch.setattr("orbitpieces.cli.make_cyclic_self", no_table)
+    for n in (0, -3, MAX_CYCLIC_ORDER + 1, 10**6):
+        code, out, err = run(capsys, "generate", "--template", "cyclic", "--n", str(n))
+        assert code == 1 and out == "", n
+        assert err.startswith("error: ") and str(MAX_CYCLIC_ORDER) in err, n
+
+
+def test_s7_from_generators_is_refused(capsys, tmp_path):
+    doc = json.loads(serialize_instance(named_instance("z4self")))
+    doc["group"] = {"generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}
+    doc["space"] = "self-left-multiplication"
+    p = tmp_path / "s7.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--instance", str(p))
+    assert code == 1
+    assert err.startswith("error: ") and "size cap" in err and "Traceback" not in err

@@ -3,8 +3,10 @@
 Valid documents are mutated (keys dropped or given values of another type,
 table rows cut short or lengthened, entries and seeds pushed out of range)
 and read by ``validate``; the point, family, level and set arguments of the
-query commands take arbitrary values.  Every run must return 0, or 1 with an
-``error:`` line on stderr.  Index values stay below 2^20 so that a missing
+query commands take arbitrary values, and some argument lists are ones
+argparse itself rejects (a flag dropped, a value that is not an int or not a
+choice, an unknown flag).  Every run must exit 0, or 1 with an ``error:``
+line on stderr.  Index values stay below 2^20 so that a missing
 bound check shows as a wrong exit, not as a multi-gigabyte ``1 << x``.
 """
 
@@ -53,7 +55,10 @@ index = st.sampled_from([0, 1, 2, 3, 0, 1, 2, 3, -1, 4, 9, BIG])
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exits, as the process would see them
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -149,4 +154,14 @@ def test_cli_arguments_exit_cleanly(command, instance, data):
         value = data.draw(values, label=flag)
         if value is not None:
             argv.append(f"--{flag}={value}")
+    fault = data.draw(st.sampled_from([None] * 4 + ["drop", "unparsable", "unknown"]),
+                      label="usage fault")
+    if fault == "drop":
+        del argv[data.draw(st.integers(min_value=0, max_value=len(argv) - 1), label="dropped")]
+    elif fault == "unparsable" and len(argv) > 3:
+        i = data.draw(st.integers(min_value=3, max_value=len(argv) - 1), label="replaced")
+        value = data.draw(st.sampled_from(["abc", "1.5", "", "0x1", "nope"]), label="value")
+        argv[i] = argv[i].split("=")[0] + "=" + value
+    elif fault == "unknown":
+        argv.append("--bogus=1")
     _assert_clean_exit(argv)

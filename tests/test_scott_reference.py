@@ -1,33 +1,63 @@
 """The piece engine against its per-cell reference.
 
-The engine labels each distinct local orbit once per level, detects the
-fixpoint by block counts, and never scans the stable level in ``scott_rank``.
-The references below label every orbit occurrence, compare whole mask lists,
-and scan every level up to the stable one; tables and ranks must agree
-exactly.
+The engine keys each distinct local orbit once per level by an exact integer
+set of previous-level blocks, hashes ids only for stored levels, detects the
+fixpoint by block counts, and memoises ``scott_rank`` per orbit without
+scanning the stable level.  The references below build every orbit
+occurrence's sorted triples by scanning all blocks of all cells, hash every
+level, compare whole mask lists, and scan every level up to the stable one;
+tables and ranks must agree exactly.
 """
 
 from __future__ import annotations
 
+import random
 from hashlib import blake2b
+from itertools import islice
 
 import pytest
 
-from orbitpieces.algebra import cyclic_group, symmetric_closure
+from orbitpieces import scott
+from orbitpieces.algebra import (
+    cyclic_group,
+    group_from_generators,
+    subgroup_closure,
+    symmetric_closure,
+)
 from orbitpieces.bits import mask_of
-from orbitpieces.gspace import build_instance, make_cyclic_self, make_random, orbit
+from orbitpieces.gspace import (
+    build_instance,
+    make_coset_action,
+    make_cyclic_self,
+    make_random,
+    orbit,
+)
 from orbitpieces.saturation import orbit_partition
 from orbitpieces.scott import (
     Signature,
-    _encode_level1,
-    _encode_successor,
-    _group_blocks,
     analyze,
     scott_rank,
     successor_level,
 )
 
 from test_acceptance import GOLDEN
+
+
+def _encode_level1(indices: tuple[int, ...]) -> str:
+    return "1|" + ",".join(map(str, indices))
+
+
+def _encode_successor(triples) -> str:
+    return "s|" + ";".join(f"{n},{m},{pid}" for (n, m, pid) in triples)
+
+
+def _group_blocks(labelled) -> list[tuple[str, int]]:
+    merged: dict[str, int] = {}
+    for pid, mask in labelled:
+        merged[pid] = merged.get(pid, 0) | mask
+    out = list(merged.items())
+    out.sort(key=lambda pm: pm[1] & -pm[1])
+    return out
 
 
 def _ref_label_cells(cell_orbits, key_of, encode):
@@ -123,8 +153,38 @@ def _ref_scott_rank(table, x: int) -> int:
     return table.stabilization
 
 
+# (n, interval lengths, neighbourhood generators) of ten Z/n self-actions with
+# 3-4 interval windows and 2 neighbourhood seeds, 129-171 cells each, all
+# stabilizing at level 2: the engine's widest everyday tables.
+WIDE_SHAPES = [
+    (14, (2, 6, 7), (1, 2)),
+    (14, (2, 4, 5), (2, 7)),
+    (14, (2, 3, 5, 6), (1, 6)),
+    (14, (3, 5, 6), (2, 5)),
+    (14, (4, 5, 6), (2, 7)),
+    (14, (2, 3, 4, 6), (1, 6)),
+    (15, (3, 6, 7), (1, 3)),
+    (16, (2, 4, 7), (3, 6)),
+    (16, (2, 5, 6), (2, 8)),
+    (16, (2, 4, 8), (4, 6)),
+]
+
+
+def _wide_corpus():
+    for i, (n, lengths, gens) in enumerate(WIDE_SHAPES):
+        rng = random.Random(f"wide{i}")
+        g = cyclic_group(n)
+        act = [[(a + x) % n for x in range(n)] for a in range(n)]
+        seedsU = []
+        for k in lengths:
+            start = rng.randrange(n)
+            seedsU.append(mask_of((start + j) % n for j in range(k)))
+        seedsV = [symmetric_closure(1 << a, g) for a in gens]
+        yield f"wide{i}z{n}", build_instance(g, n, act, seedsU, seedsV, "exploratory")
+
+
 def _corpus():
-    yield from GOLDEN.items()
+    yield from GOLDEN.items()  # z10l3 among them
     for s in range(32):
         yield f"random{s}", make_random(s)
     for s in range(16):
@@ -136,6 +196,11 @@ def _corpus():
     seedsU = [mask_of(range(0, 2)), mask_of(range(3, 8)), mask_of(range(7, 13))]
     seedsV = [symmetric_closure(1 << 2, g), symmetric_closure(1 << 8, g)]
     yield "z16windows", build_instance(g, 16, act, seedsU, seedsV, "exploratory")
+    yield from _wide_corpus()
+    s5 = group_from_generators([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    # elements 1 and 2 are the generators: a transposition and a 5-cycle
+    yield "s5c60", make_coset_action(s5, subgroup_closure(1 << 1, s5))
+    yield "s5c24", make_coset_action(s5, subgroup_closure(1 << 2, s5))
 
 
 def test_analyze_matches_the_per_cell_reference():
@@ -147,6 +212,66 @@ def test_analyze_matches_the_per_cell_reference():
         assert t.stabilization == len(levels), key
 
 
+def test_wide_tables_have_their_stated_shape():
+    for key, inst in _wide_corpus():
+        t = analyze(inst)
+        assert 129 <= len(t.cells) <= 171 and t.stabilization == 2, key
+
+
+def _counting_hash(monkeypatch, digest_of=None):
+    """Route the engine's hash through a counter; ``digest_of(payload)``
+    overrides the id of a payload when it returns one."""
+    payloads = []
+
+    class Hash:
+        def __init__(self, data, digest_size):
+            payloads.append(data.decode())
+            self._id = digest_of(data.decode()) if digest_of else None
+            self._real = blake2b(data, digest_size=digest_size)
+
+        def hexdigest(self):
+            return self._id or self._real.hexdigest()
+
+    monkeypatch.setattr(scott, "blake2b", Hash)
+    return payloads
+
+
+def test_only_stored_levels_are_hashed(monkeypatch):
+    payloads = _counting_hash(monkeypatch)
+    for key, inst in [*GOLDEN.items(), *islice(_wide_corpus(), 2)]:
+        payloads.clear()
+        t = analyze(inst)
+        # once per distinct key of a stored level; the check level hashes nothing
+        assert len(payloads) == len(set(payloads)) == len(t.signatures), key
+
+
+def test_a_collision_within_a_stored_level_raises(monkeypatch):
+    inst = GOLDEN["z10l3"]
+    t = analyze(inst)
+    _counting_hash(monkeypatch, lambda payload: "0" * 16)
+    with pytest.raises(RuntimeError, match="collision on 0000000000000000"):
+        analyze(inst)
+    with pytest.raises(RuntimeError, match="collision on 0000000000000000"):
+        successor_level(inst, t.cells, t.cell_orbits, t.levels[0])
+
+
+def test_a_collision_with_an_earlier_level_raises(monkeypatch):
+    inst = GOLDEN["z10l3"]
+    level1 = next(iter(analyze(inst).signatures))
+    successors = []
+
+    def digest_of(payload):
+        # the first successor payload is given the id of a level-1 piece
+        if payload[0] == "s":
+            successors.append(payload)
+            return level1 if len(successors) == 1 else None
+        return None
+
+    _counting_hash(monkeypatch, digest_of)
+    with pytest.raises(RuntimeError, match=f"collision on {level1}"):
+        analyze(inst)
+
+
 def test_successor_level_matches_the_per_cell_reference():
     for key, inst in GOLDEN.items():
         t = analyze(inst)
@@ -155,15 +280,24 @@ def test_successor_level_matches_the_per_cell_reference():
             assert got == _ref_successor_level(t.cells, t.cell_orbits, prev), key
 
 
-RANK_CASES = {**GOLDEN, "random1": make_random(1), "random5": make_random(5)}
+RANK_CASES = {
+    **GOLDEN,  # the named instances and z10l3 among them
+    **{f"random{s}": make_random(s) for s in range(32)},
+    **{f"strict{s}": make_random(s, strict=True) for s in range(16)},
+}
 
 
 @pytest.mark.parametrize("key", RANK_CASES)
 def test_scott_rank_matches_the_full_scan(key):
     inst = RANK_CASES[key]
     t = analyze(inst)
-    ranks = [scott_rank(t, x) for x in range(inst.size)]
-    assert ranks == [_ref_scott_rank(t, x) for x in range(inst.size)]
+    points = list(range(inst.size))
+    random.Random(key).shuffle(points)
+    fresh = {x: _ref_scott_rank(t, x) for x in points}
+    for _ in range(2):  # the second pass answers from the per-orbit memo
+        assert {x: scott_rank(t, x) for x in points} == fresh
+    assert set(t._caches["rank"]) == {orbit(inst, x) for x in points}
+    ranks = [fresh[x] for x in range(inst.size)]
     if key in ("random1", "random4", "random5", "random7"):
         # stabilization 2 with points already final at level 1
         assert t.stabilization == 2 and 1 in ranks
