@@ -47,6 +47,20 @@ def image_mask(row, pts: list[int]) -> int:
     return m
 
 
+def union_over(rows, mask: int) -> int:
+    """The OR of ``rows[p]`` over the members p of ``mask``.
+
+    With ``rows`` a per-point image table this is the image of the whole set,
+    one OR per member.
+    """
+    m = 0
+    while mask:
+        low = mask & -mask
+        m |= rows[low.bit_length() - 1]
+        mask ^= low
+    return m
+
+
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

@@ -21,7 +21,7 @@ import random
 
 from .bits import bits, to_list
 from .gspace import ActionInstance, orbit
-from .saturation import act_image, orbit_partition
+from .saturation import orbit_partition, point_images
 from .scott import STABLE, PieceTable, piece, scott_rank
 from .topology import open_map_check
 
@@ -35,11 +35,12 @@ def eventual_openness(inst: ActionInstance):
     """
     membersU = inst.basisU.members
     membersV = inst.basisV.members
+    images = [point_images(inst, v) for v in membersV]
     witnesses: list[list] = []
     for x in range(inst.size):
         row: list = []
-        for v in membersV:
-            target = act_image(inst, 1 << x, v)
+        for nb in images:
+            target = nb[x]
             found = None
             for n, un in enumerate(membersU):
                 if not un >> x & 1:

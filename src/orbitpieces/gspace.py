@@ -100,11 +100,9 @@ def _translates(rows):
     """The images of a point set under every row of an action table."""
 
     def images(u: int):
+        pts = to_list(u)
         for row in rows:
-            m = 0
-            for x in bits(u):
-                m |= 1 << row[x]
-            yield m
+            yield image_mask(row, pts)
 
     return images
 

@@ -52,6 +52,7 @@ from .saturation import (
     local_orbit,
     reach_common,
     reach_sets,
+    reach_stages,
     saturate,
     saturate_by_parts,
 )
@@ -253,6 +254,18 @@ class _Ctx:
     def point_in(self, u: int) -> int:
         pts = to_list(u)
         return pts[self.rng.randrange(len(pts))]
+
+
+class _Memo(dict):
+    """A dict that fills each missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        got = self[key] = self.fn(key)
+        return got
 
 
 def _sym_subsets_with_identity(v: int, inv) -> list[int]:
@@ -475,23 +488,26 @@ def _suite_vaught(ctx: _Ctx):
                 ctx.fail("vaught", "delta-stages-increase", (n, m), A=to_list(a), stage=i + 1)
             if not is_subset(stages_s[i + 1], stages_s[i]):
                 ctx.fail("vaught", "star-stages-decrease", (n, m), A=to_list(a), stage=i + 1)
+        # reach sets repeat across stages and points once they stop growing
+        delta_of = _Memo(lambda r: delta(inst, a, r))
+        star_of = _Memo(lambda r: star(inst, a, r))
         for x in bits(u):
-            rs = [reach_sets(inst, x, u, v, i + 1) for i in range(len(stages_d))]
+            rs = reach_stages(inst, x, u, v, len(stages_d))
             for i, sd in enumerate(stages_d):
-                if bool(sd >> x & 1) != bool(delta(inst, a, rs[i]) >> x & 1):
+                if bool(sd >> x & 1) != bool(delta_of[rs[i]] >> x & 1):
                     ctx.fail("vaught", "stage-reach-delta", (n, m), A=to_list(a), x=x, stage=i + 1)
                     break
             for i, ss in enumerate(stages_s):
-                if bool(ss >> x & 1) != bool(star(inst, a, rs[i]) >> x & 1):
+                if bool(ss >> x & 1) != bool(star_of[rs[i]] >> x & 1):
                     ctx.fail("vaught", "stage-reach-star", (n, m), A=to_list(a), x=x, stage=i + 1)
                     break
         ld = local_delta(inst, a, u, v)
         ls = local_star(inst, a, u, v)
         for x in bits(u):
             r = reach_sets(inst, x, u, v)
-            if bool(ld >> x & 1) != bool(delta(inst, a, r) >> x & 1):
+            if bool(ld >> x & 1) != bool(delta_of[r] >> x & 1):
                 ctx.fail("vaught", "limit-reach-delta", (n, m), A=to_list(a), x=x)
-            if bool(ls >> x & 1) != bool(star(inst, a, r) >> x & 1):
+            if bool(ls >> x & 1) != bool(star_of[r] >> x & 1):
                 ctx.fail("vaught", "limit-reach-star", (n, m), A=to_list(a), x=x)
 
     for _ in range(t):
@@ -499,24 +515,24 @@ def _suite_vaught(ctx: _Ctx):
         u, v = membersU[n], membersV[m]
         a, b = ctx.point_set(), ctx.point_set()
         v2 = ctx.sym_subset(v)
-        if not is_subset(local_delta(inst, a, u, v2), local_delta(inst, a, u, v)):
-            ctx.fail("vaught", "delta-monotone-in-V", (n, m), A=to_list(a), V2=to_list(v2))
-        if not is_subset(local_star(inst, a, u, v), local_star(inst, a, u, v2)):
-            ctx.fail("vaught", "star-antitone-in-V", (n, m), A=to_list(a), V2=to_list(v2))
-        if local_delta(inst, u & ~a, u, v) != u & ~local_star(inst, a, u, v):
-            ctx.fail("vaught", "delta-star-duality", (n, m), A=to_list(a))
-        if local_delta(inst, a | b, u, v) != local_delta(inst, a, u, v) | local_delta(inst, b, u, v):
-            ctx.fail("vaught", "delta-union-law", (n, m), A=to_list(a), B=to_list(b))
-        if local_star(inst, a & b, u, v) != local_star(inst, a, u, v) & local_star(inst, b, u, v):
-            ctx.fail("vaught", "star-intersection-law", (n, m), A=to_list(a), B=to_list(b))
         ld = local_delta(inst, a, u, v)
         ls = local_star(inst, a, u, v)
+        if not is_subset(local_delta(inst, a, u, v2), ld):
+            ctx.fail("vaught", "delta-monotone-in-V", (n, m), A=to_list(a), V2=to_list(v2))
+        if not is_subset(ls, local_star(inst, a, u, v2)):
+            ctx.fail("vaught", "star-antitone-in-V", (n, m), A=to_list(a), V2=to_list(v2))
+        if local_delta(inst, u & ~a, u, v) != u & ~ls:
+            ctx.fail("vaught", "delta-star-duality", (n, m), A=to_list(a))
+        if local_delta(inst, a | b, u, v) != ld | local_delta(inst, b, u, v):
+            ctx.fail("vaught", "delta-union-law", (n, m), A=to_list(a), B=to_list(b))
+        if local_star(inst, a & b, u, v) != ls & local_star(inst, b, u, v):
+            ctx.fail("vaught", "star-intersection-law", (n, m), A=to_list(a), B=to_list(b))
         sat = saturate(inst, a, u, v)
         if not (is_subset(ls, ld) and is_subset(ld, sat)):
             ctx.fail("vaught", "transform-sandwich", (n, m), A=to_list(a))
         if not is_locally_invariant(inst, ld, u, v) or not is_locally_invariant(inst, ls, u, v):
             ctx.fail("vaught", "transform-invariance", (n, m), A=to_list(a))
-        inv_a = saturate(inst, a, u, v) | (ctx.point_set() & ~u)
+        inv_a = sat | (ctx.point_set() & ~u)
         if local_delta(inst, inv_a, u, v) != inv_a & u or local_star(inst, inv_a, u, v) != inv_a & u:
             ctx.fail("vaught", "invariant-transform-trace", (n, m), A=to_list(inv_a))
 
@@ -547,8 +563,8 @@ def _suite_vaught(ctx: _Ctx):
         ld = local_delta(inst, a, u, v)
         ls = local_star(inst, a, u, v)
         subsets = _sym_subsets_with_identity(v, inv)
-        star_c: dict[int, int] = {}
-        delta_c: dict[int, int] = {}
+        star_c = _Memo(lambda h: star(inst, a, h))
+        delta_c = _Memo(lambda h: delta(inst, a, h))
         pts = to_list(u)
         ctx.rng.shuffle(pts)
         for x in pts[:3]:
@@ -564,17 +580,9 @@ def _suite_vaught(ctx: _Ctx):
                         v2g |= 1 << row[g]
                     if not is_subset(v2g, r):
                         continue
-                    s = star_c.get(v2g)
-                    if s is None:
-                        s = star(inst, a, v2g)
-                        star_c[v2g] = s
-                    if s >> x & 1:
+                    if star_c[v2g] >> x & 1:
                         in_union = True
-                    d = delta_c.get(v2g)
-                    if d is None:
-                        d = delta(inst, a, v2g)
-                        delta_c[v2g] = d
-                    if not d >> x & 1:
+                    if not delta_c[v2g] >> x & 1:
                         in_inter = False
             if in_union != bool(ld >> x & 1):
                 ctx.fail("vaught", "delta-star-decomposition", (n, m), A=to_list(a), x=x)

@@ -12,17 +12,26 @@ every depth, including depth 0.
 Both fixpoints are computed semi-naively: a round expands only what the round
 before it added, since everything reachable from older members is already in
 the current stage.  The stages, and so every finite depth and the limit, are
-the same as when the whole stage is expanded each round.  The set kernels
-(``act_image`` here, ``translate_set`` in ``gspace``, ``delta``/``star`` in
-``transforms``) list each operand's members once per call and index the
-action rows directly.
+the same as when the whole stage is expanded each round.
+
+A neighbourhood V is applied to many sets, so ``point_images`` tabulates it
+once per instance: ``nb[p] = V·p`` (or ``V⁻¹·p``) as one mask per point.  V·A
+is then the OR of ``nb`` over the points of A, and each saturation round is
+one such OR over the points the last round added; the local stage transforms
+in ``transforms`` read the ``V⁻¹`` table the same way.  The kernels for an
+arbitrary element set H (``act_image`` here, ``translate_set`` in ``gspace``,
+``delta``/``star`` in ``transforms``), used with reach sets that are seldom
+repeated, list each operand's members once per call and index the action
+rows directly.  ``is_locally_invariant`` checks the table-based saturation
+against a one-step ``act_image``, so the two stay independent computations.
 """
 
 from __future__ import annotations
 
 import weakref
+from itertools import islice
 
-from .bits import bits, image_mask, to_list
+from .bits import bits, image_mask, to_list, union_over
 from .gspace import ActionInstance
 
 
@@ -36,22 +45,46 @@ def act_image(inst: ActionInstance, a: int, v: int) -> int:
     return m
 
 
+def _saturate(nb, a: int, u: int) -> int:
+    """``saturate`` with V given by its ``point_images`` table."""
+    cur = new = a & u
+    while new:
+        new = union_over(nb, new) & u & ~cur
+        cur |= new
+    return cur
+
+
 def saturate(inst: ActionInstance, a: int, u: int, v: int) -> int:
     """The local V_U-saturation of A: least fixpoint of S ↦ (V·S ∪ S) ∩ U from A∩U.
 
     V·S is a union over the points of S, so each round applies V only to the
     points the last round added; the images of older points are already in.
     """
-    cur = new = a & u
-    while new:
-        new = act_image(inst, new, v) & u & ~cur
-        cur |= new
-    return cur
+    return _saturate(point_images(inst, v), a, u)
 
 
 def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
     """The local V_U-orbit of a point; empty exactly when x ∉ U."""
     return saturate(inst, 1 << x, u, v)
+
+
+def _reach_rounds(inst: ActionInstance, x: int, u: int, v: int):
+    """Yield ⟨V⟩ˣ_U at depths 1, 2, ... for x ∈ U, ending with the first
+    depth that adds nothing (the fixpoint)."""
+    rows = [inst.group.mul[g] for g in to_list(v)]
+    act = inst.act
+    cur = 1  # {identity}
+    new = [0]
+    while new:  # no new elements: fixed
+        added = []
+        for h in new:
+            for row in rows:
+                gh = row[h]
+                if not cur >> gh & 1 and u >> act[gh][x] & 1:
+                    cur |= 1 << gh
+                    added.append(gh)
+        new = added
+        yield cur
 
 
 def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None = None) -> int:
@@ -69,29 +102,27 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     """
     if not u >> x & 1:
         return 0
-    rows = [inst.group.mul[g] for g in to_list(v)]
-    act = inst.act
-    cur = 1  # {identity}
-    new = [0]
-    n = 0
-    while new and (depth is None or n < depth):  # no new elements: fixed
-        added = []
-        for h in new:
-            for row in rows:
-                gh = row[h]
-                if not cur >> gh & 1 and u >> act[gh][x] & 1:
-                    cur |= 1 << gh
-                    added.append(gh)
-        new = added
-        n += 1
+    cur = 1
+    if depth != 0:
+        for n, cur in enumerate(_reach_rounds(inst, x, u, v), 1):
+            if n == depth:
+                break
     return cur
+
+
+def reach_stages(inst: ActionInstance, x: int, u: int, v: int, n: int) -> list[int]:
+    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n, from one pass."""
+    if not u >> x & 1:
+        return [0] * n
+    out = list(islice(_reach_rounds(inst, x, u, v), n))
+    return out + out[-1:] * (n - len(out))
 
 
 def reach_common(inst: ActionInstance, a: int, u: int, v: int) -> int:
     """⟨V⟩^A_U  =  the intersection of ⟨V⟩ᵗ_U over t ∈ A (full group if A = ∅)."""
     out = inst.group.full
     for t in bits(a):
-        out &= reach_sets(inst, t, u, v)
+        out &= cached_reach(inst, t, u, v)
         if not out:
             break
     return out
@@ -137,11 +168,35 @@ def group_coset_partition(inst: ActionInstance, x: int, u: int, v: int) -> list[
 # per-instance caches
 #
 # The engine and the oracle suites evaluate local orbits and reach sets for
-# the same cells over and over; instances are immutable, so results are
-# memoized in weak per-instance tables.
+# the same cells over and over, and apply the same neighbourhoods to many
+# sets; instances are immutable, so results are memoized in weak per-instance
+# tables.
 
 _ORBIT_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
 _REACH_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
+_IMAGE_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
+
+
+def point_images(inst: ActionInstance, v: int, inverse: bool = False) -> tuple[int, ...]:
+    """The table ``nb[p] = V·p``, or ``V⁻¹·p`` with ``inverse``: one mask per point.
+
+    V·A is the OR of the table over the points of A (``bits.union_over``);
+    delta(A, V) = {x : V·x meets A} is the same OR over the ``V⁻¹`` table.
+    """
+    table = _IMAGE_CACHE.setdefault(inst, {})
+    key = ~v if inverse else v  # v >= 0, so the two kinds of key never meet
+    got = table.get(key)
+    if got is None:
+        elems = to_list(v)
+        if inverse:
+            inv = inst.group.inv
+            elems = [inv[g] for g in elems]
+        nb = [0] * inst.size
+        for g in elems:
+            for p, q in enumerate(inst.act[g]):
+                nb[p] |= 1 << q
+        got = table[key] = tuple(nb)
+    return got
 
 
 def orbit_partition(inst: ActionInstance, u: int, v: int) -> tuple[int, ...]:
@@ -151,11 +206,11 @@ def orbit_partition(inst: ActionInstance, u: int, v: int) -> tuple[int, ...]:
     got = table.get(key)
     if got is not None:
         return got
+    nb = point_images(inst, v)
     parts = []
     rem = u
     while rem:
-        x = (rem & -rem).bit_length() - 1
-        part = local_orbit(inst, x, u, v)
+        part = _saturate(nb, rem & -rem, u)
         parts.append(part)
         rem &= ~part
     out = tuple(parts)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
 
-from .bits import bits, is_subset, mask_of, to_list
+from .bits import is_subset, mask_of, to_list
 from .gspace import ActionInstance, orbit, translate_set
 from .algebra import conjugate
 from .saturation import cached_reach, orbit_partition, reach_common
@@ -314,9 +314,67 @@ def _decomp_tables(table: PieceTable):
         [i for i, ui in enumerate(membersU) if is_subset(ui, un)]
         for un in membersU
     ]
-    cache = (t_u, c_v, subsets, {})
+    cache = (t_u, c_v, subsets)
     table._caches["decomp"] = cache
     return cache
+
+
+def _decomp_pairs(table: PieceTable, u_idx: int, v_idx: int):
+    """The candidates of the cell (U, V), and per U_n the U_i inside it that have any.
+
+    A candidate of U_i is a pair (U_j, cells), one per h ∈ ⟨V⟩^{U_i}_U, with
+    U_j = hU_i and ``cells`` the index of the cell (j, conjugate of m by h)
+    for each V-index m.  A point outside U has no reach set, so only the U_i
+    inside U can have candidates.  None of this depends on the level or the
+    point, so it is built once per cell.
+    """
+    memo = table._caches.setdefault("pairs", {})
+    got = memo.get((u_idx, v_idx))
+    if got is None:
+        inst = table.instance
+        membersU = inst.basisU.members
+        n_v = len(inst.basisV)
+        u = membersU[u_idx]
+        v = inst.basisV[v_idx]
+        t_u, c_v, subsets = _decomp_tables(table)
+        cands = {}
+        for i in subsets[u_idx]:
+            common = reach_common(inst, membersU[i], u, v)
+            if common:
+                cands[i] = [
+                    (membersU[t_u[i][h]], [t_u[i][h] * n_v + c_v[m][h] for m in range(n_v)])
+                    for h in to_list(common)
+                ]
+        within = [[i for i in sub if i in cands] for sub in subsets]
+        got = memo[(u_idx, v_idx)] = (cands, within)
+    return got
+
+
+def _orbit_hits(table: PieceTable, lvl: int, orb: int):
+    """For one orbit at one level: per cell, the union of its blocks that the
+    orbit meets; and the intersection over cells (n, m) of (X∖U_n) ∪ that
+    union.  Orbits recur across cells, so both are memoised per (level, orbit).
+    """
+    memo = table._caches.setdefault("hits", {})
+    got = memo.get((lvl, orb))
+    if got is None:
+        inst = table.instance
+        n_v = len(inst.basisV)
+        full = inst.full_points
+        hits = []
+        for blocks in table.levels[lvl - 1]:
+            hit = 0
+            for _, mask in blocks:
+                if mask & orb:
+                    hit |= mask
+            hits.append(hit)
+        second = full
+        for n, un in enumerate(inst.basisU.members):
+            outside = full & ~un
+            for ci in range(n * n_v, (n + 1) * n_v):
+                second &= outside | hits[ci]
+        got = memo[(lvl, orb)] = (hits, second)
+    return got
 
 
 def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, level) -> int:
@@ -329,59 +387,45 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     joined with the union of level-α pieces at (n, m) hit by the local orbit.
     The result is the candidate for the level-(α+1) piece of x at (U, V),
     compared against the engine's table by the differential suite.
+
+    Part (b) and the hit blocks come from ``_orbit_hits`` and the candidates
+    of each U_i from ``_decomp_pairs``.  A call keeps the candidates whose U_j
+    meets the orbit, ORs their cells' hit blocks once per (i, m), and then
+    ORs those over the U_i inside each U_n.
     """
     inst = table.instance
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    u = membersU[u_idx]
-    v = membersV[v_idx]
+    u = inst.basisU[u_idx]
+    v = inst.basisV[v_idx]
     if not u >> x & 1:
         raise ValueError(f"point {x} is not in U_{u_idx}")
     lvl = table.resolve_level(level)
     if lvl < 1:
         raise ValueError("the decomposition needs level >= 1")
-    data = table.levels[lvl - 1]
-    t_u, c_v, subsets, common_reach = _decomp_tables(table)
+    cands, within = _decomp_pairs(table, u_idx, v_idx)
 
-    reach = cached_reach(inst, x, u, v)
     orb = 0
-    for g in bits(reach):
+    for g in to_list(cached_reach(inst, x, u, v)):
         orb |= 1 << inst.act[g][x]
-
-    hits: dict[int, int] = {}
-
-    def blocks_hit(ci: int) -> int:
-        got = hits.get(ci)
-        if got is None:
-            got = 0
-            for _, mask in data[ci]:
-                if mask & orb:
-                    got |= mask
-            hits[ci] = got
-        return got
-
-    n_v = len(membersV)
-    full = inst.full_points
-    result = full
-    for n, un in enumerate(membersU):
-        candidates: set[tuple[int, int]] = set()  # (U-index of hU_i, h)
-        for i in subsets[n]:
-            key = (u_idx, v_idx, i)
-            ru = common_reach.get(key)
-            if ru is None:
-                ru = reach_common(inst, membersU[i], u, v)
-                common_reach[key] = ru
-            row = t_u[i]
-            for h in bits(ru):
-                j = row[h]
-                if membersU[j] & orb:
-                    candidates.add((j, h))
-        for m in range(n_v):
-            second = (full & ~un) | blocks_hit(n * n_v + m)
-            result &= second
-            if candidates:
+    hits, result = _orbit_hits(table, lvl, orb)
+    # per U_i and V-index m, the union of hit blocks over the candidates of
+    # U_i that meet the orbit; U_i is left out when none does
+    firsts = {}
+    for i, pairs in cands.items():
+        first = None
+        for uj, cells in pairs:
+            if uj & orb:
+                if first is None:
+                    first = [0] * len(cells)
+                for m, ci in enumerate(cells):
+                    first[m] |= hits[ci]
+        if first is not None:
+            firsts[i] = first
+    for idxs in within:
+        found = [firsts[i] for i in idxs if i in firsts]
+        if found:
+            for m in range(len(inst.basisV)):
                 first = 0
-                for j, h in candidates:
-                    first |= blocks_hit(j * n_v + c_v[m][h])
+                for f in found:
+                    first |= f[m]
                 result &= first
     return result

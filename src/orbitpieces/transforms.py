@@ -17,12 +17,27 @@ star side with X∖U so that exits from U never count against a point:
 
 Limits: the delta stages increase and the star stages decrease, so both
 stabilize within |U| rounds.
+
+The stage transforms apply one V throughout, so they read its per-point
+table ``V⁻¹·p`` from ``saturation.point_images``: delta(B, V) = V⁻¹·B is the
+OR of the table over the points of B.  The delta stages increase (V holds
+the identity), so each round ORs in only the rows of the points the last
+round added.  The star stages come by duality: the complement in U of a star
+stage is U ∩ delta(U ∖ previous stage, V), so
+
+    A^{*_U(V,n)} = U ∖ (U∖A)^{Δ_U(V,n)}.
+
+Nothing here asks V to be symmetric; the delta side moves points by V⁻¹,
+which is why the table is of V⁻¹ and not of V.  ``delta`` and ``star`` for an
+arbitrary H (the reach sets) list the operand once and index the action
+rows directly.
 """
 
 from __future__ import annotations
 
-from .bits import image_mask, to_list
+from .bits import image_mask, to_list, union_over
 from .gspace import ActionInstance
+from .saturation import point_images
 
 
 def delta(inst: ActionInstance, a: int, h: int) -> int:
@@ -61,37 +76,33 @@ def _check_neighborhood(v: int) -> None:
 def local_delta_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
     """The stage transform A^{Δ_U(V,n)}, n ≥ 1.
 
-    Once two consecutive stages agree every later one does, so the loop
-    stops there: a huge n costs no more than the limit.
+    The stages increase from A∩U, so each round ORs in the ``V⁻¹`` rows of
+    only the points the last round added.  Once a round adds nothing every
+    later stage is the same, so the loop stops there: a huge n costs no more
+    than the limit.
     """
     if n < 1:
         raise ValueError("stage must be >= 1")
     _check_neighborhood(v)
-    cur = delta(inst, a & u, v) & u
+    back = point_images(inst, v, inverse=True)
+    cur = union_over(back, a & u) & u
+    new = cur & ~a
     for _ in range(n - 1):
-        nxt = delta(inst, cur, v) & u
-        if nxt == cur:
+        if not new:
             break
-        cur = nxt
+        new = union_over(back, new) & u & ~cur
+        cur |= new
     return cur
 
 
 def local_star_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
     """The stage transform A^{*_U(V,n)}, n ≥ 1 (with X∖U padding).
 
-    Stops once two consecutive stages agree, as ``local_delta_n`` does.
+    By duality, U ∖ (U∖A)^{Δ_U(V,n)}: a point of U drops out of a star stage
+    exactly when some V-step takes it to a point of U outside the stage
+    before (stage 0 being A∩U).
     """
-    if n < 1:
-        raise ValueError("stage must be >= 1")
-    _check_neighborhood(v)
-    pad = inst.full_points & ~u
-    cur = star(inst, (a & u) | pad, v) & u
-    for _ in range(n - 1):
-        nxt = star(inst, cur | pad, v) & u
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
+    return u & ~local_delta_n(inst, u & ~a, u, v, n)
 
 
 def local_delta(inst: ActionInstance, a: int, u: int, v: int) -> int:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from orbitpieces import harness
+from orbitpieces import harness, saturation
 from orbitpieces.algebra import (
     cyclic_group,
     dihedral_group,
@@ -235,3 +237,19 @@ def test_build_analysis_document():
     text = serialize_analysis(doc)
     assert text.endswith("\n")
     assert json.loads(text) == doc
+
+
+def test_per_instance_memos_are_released_with_the_instance():
+    # the saturation memos hold each instance weakly: once the caller drops
+    # the instance and its table, nothing of it stays behind
+    inst = parse_instance(serialize_instance(make_random(4)))
+    table = harness.analyze(inst)
+    assert not any(e["severity"] == "assert" for e in run_oracles(inst, table=table))
+    caches = (saturation._IMAGE_CACHE, saturation._ORBIT_CACHE, saturation._REACH_CACHE)
+    assert all(inst in cache for cache in caches)
+    ref = weakref.ref(inst)
+    before = [len(cache) for cache in caches]
+    del inst, table
+    gc.collect()
+    assert ref() is None
+    assert [len(cache) for cache in caches] == [n - 1 for n in before]

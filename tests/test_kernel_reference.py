@@ -6,6 +6,12 @@ expand only what the last round added, and the local stage transforms stop
 once two stages agree.  The references below are the earlier forms: one
 generator walk and one translate per element, every stage expanded from
 scratch, every stage applied.  Results must agree exactly.
+
+``saturate``, ``orbit_partition`` and the local stage transforms read a
+per-point table of V (``point_images``), and ``local_star_n`` is computed by
+duality from the delta stages.  The ``par_`` references are their forms
+before the tables: one ``act_image`` per saturation round, one ``delta`` or
+padded ``star`` per stage, each stopping once two stages agree.
 """
 
 from __future__ import annotations
@@ -14,9 +20,23 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from orbitpieces.bits import bits
-from orbitpieces.gspace import NAMED_INSTANCES, make_random, named_instance, translate_set
-from orbitpieces.saturation import act_image, reach_sets, saturate
+from orbitpieces.bits import bits, to_list
+from orbitpieces.gspace import (
+    NAMED_INSTANCES,
+    make_cyclic_self,
+    make_random,
+    named_instance,
+    translate_set,
+)
+from orbitpieces.saturation import (
+    act_image,
+    local_orbit,
+    orbit_partition,
+    point_images,
+    reach_sets,
+    reach_stages,
+    saturate,
+)
 from orbitpieces.transforms import (
     delta,
     local_delta,
@@ -106,7 +126,48 @@ def ref_local_star_n(inst, a, u, v, n):
     return cur
 
 
-# One example sweeps every instance and every cell of it (about 0.3 s).
+def par_saturate(inst, a, u, v):
+    cur = new = a & u
+    while new:
+        new = act_image(inst, new, v) & u & ~cur
+        cur |= new
+    return cur
+
+
+def par_orbit_partition(inst, u, v):
+    parts = []
+    rem = u
+    while rem:
+        x = (rem & -rem).bit_length() - 1
+        part = par_saturate(inst, 1 << x, u, v)
+        parts.append(part)
+        rem &= ~part
+    return tuple(parts)
+
+
+def par_local_delta_n(inst, a, u, v, n):
+    cur = delta(inst, a & u, v) & u
+    for _ in range(n - 1):
+        nxt = delta(inst, cur, v) & u
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
+
+
+def par_local_star_n(inst, a, u, v, n):
+    pad = inst.full_points & ~u
+    cur = star(inst, (a & u) | pad, v) & u
+    for _ in range(n - 1):
+        nxt = star(inst, cur | pad, v) & u
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
+
+
+# One example sweeps every instance and every cell of it, under the V-family
+# and three more neighbourhoods (about 0.7 s).
 @settings(max_examples=4, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_kernels_match_references_on_every_cell(seed):
@@ -129,27 +190,79 @@ def _check_set_kernels(inst, rng):
     assert star(inst, inst.full_points, h) == inst.full_points
 
 
+def _neighbourhoods(inst, rng):
+    """The V-family plus random element sets holding the identity, at least
+    one of them not closed under inverses when the group has such a set."""
+    order = inst.group.order
+    inv = inst.group.inv
+    out = list(inst.basisV)
+    out += [rng.getrandbits(order) | 1 for _ in range(2)]
+    lopsided = [g for g in range(order) if inv[g] != g]
+    if lopsided:
+        out.append(1 | 1 << rng.choice(lopsided))
+    return out
+
+
 def _check_fixpoints(inst, rng):
-    for u in inst.basisU:
-        k = u.bit_count()
-        outside = [x for x in range(inst.size) if not u >> x & 1]
-        for v in inst.basisV:
-            a = rng.getrandbits(inst.size)
-            assert saturate(inst, a, u, v) == ref_saturate(inst, a, u, v)
-            stage_d = [ref_local_delta_n(inst, a, u, v, n) for n in range(1, k + 3)]
-            stage_s = [ref_local_star_n(inst, a, u, v, n) for n in range(1, k + 3)]
-            for n in range(1, k + 3):
-                assert local_delta_n(inst, a, u, v, n) == stage_d[n - 1]
-                assert local_star_n(inst, a, u, v, n) == stage_s[n - 1]
-            # stage |U| + 1 is already the limit
-            assert local_delta(inst, a, u, v) == stage_d[k] == stage_d[k + 1]
-            assert local_star(inst, a, u, v) == stage_s[k] == stage_s[k + 1]
-            if u:
-                x = rng.choice([y for y in range(inst.size) if u >> y & 1])
-                for depth in [*range(k + 2), None]:
-                    want = ref_reach_sets(inst, x, u, v, depth)
-                    assert reach_sets(inst, x, u, v, depth) == want, (inst.name, x, depth)
-            if outside:
-                x = rng.choice(outside)
-                for depth in [*range(k + 2), None]:
-                    assert reach_sets(inst, x, u, v, depth) == 0
+    inv = inst.group.inv
+    for v in _neighbourhoods(inst, rng):
+        nb = point_images(inst, v)
+        back = point_images(inst, v, inverse=True)
+        if all(v >> inv[g] & 1 for g in to_list(v)):
+            assert nb == back
+        for p in range(inst.size):
+            assert nb[p] == act_image(inst, 1 << p, v)
+            assert back[p] == delta(inst, 1 << p, v)
+        for u in inst.basisU:
+            _check_cell(inst, rng, u, v)
+
+
+def _check_cell(inst, rng, u, v):
+    k = u.bit_count()
+    outside = [x for x in range(inst.size) if not u >> x & 1]
+    a = rng.getrandbits(inst.size)
+    assert saturate(inst, a, u, v) == ref_saturate(inst, a, u, v) == par_saturate(inst, a, u, v)
+    assert orbit_partition(inst, u, v) == par_orbit_partition(inst, u, v)
+    stage_d = [ref_local_delta_n(inst, a, u, v, n) for n in range(1, k + 3)]
+    stage_s = [ref_local_star_n(inst, a, u, v, n) for n in range(1, k + 3)]
+    for n in range(1, k + 3):
+        assert local_delta_n(inst, a, u, v, n) == stage_d[n - 1]
+        assert local_star_n(inst, a, u, v, n) == stage_s[n - 1]
+        assert par_local_delta_n(inst, a, u, v, n) == stage_d[n - 1]
+        assert par_local_star_n(inst, a, u, v, n) == stage_s[n - 1]
+    # stage |U| + 1 is already the limit, and so is any later stage
+    assert local_delta(inst, a, u, v) == stage_d[k] == stage_d[k + 1]
+    assert local_star(inst, a, u, v) == stage_s[k] == stage_s[k + 1]
+    assert local_delta_n(inst, a, u, v, 10**9) == stage_d[k]
+    assert local_star_n(inst, a, u, v, 10**9) == stage_s[k]
+    if u:
+        x = rng.choice([y for y in range(inst.size) if u >> y & 1])
+        want = [ref_reach_sets(inst, x, u, v, depth) for depth in [*range(k + 2), None]]
+        for depth, w in zip([*range(k + 2), None], want):
+            assert reach_sets(inst, x, u, v, depth) == w, (inst.name, x, depth)
+        assert reach_stages(inst, x, u, v, k + 1) == want[1:k + 2]
+    if outside:
+        x = rng.choice(outside)
+        assert local_orbit(inst, x, u, v) == 0
+        for depth in [*range(k + 2), None]:
+            assert reach_sets(inst, x, u, v, depth) == 0
+        assert reach_stages(inst, x, u, v, k + 1) == [0] * (k + 1)
+
+
+def test_a_lopsided_neighbourhood_is_read_through_its_inverse():
+    # Z/5 acting on itself with V = {0, 1}: V·p = {p, p+1} but V⁻¹·p = {p, p-1}
+    inst = make_cyclic_self(5)
+    v = 0b11
+    assert point_images(inst, v)[0] == 0b00011
+    assert point_images(inst, v, inverse=True)[0] == 0b10001
+    u = 0b01111
+    for a in range(1 << 5):
+        for n in (1, 2, 3, 10**9):
+            assert local_delta_n(inst, a, u, v, n) == par_local_delta_n(inst, a, u, v, n)
+            assert local_star_n(inst, a, u, v, n) == par_local_star_n(inst, a, u, v, n)
+    # delta moves a set backwards along V: {3} pulls in 2 and then 1, 0
+    assert local_delta_n(inst, 0b01000, u, v, 1) == 0b01100
+    assert local_delta_n(inst, 0b01000, u, v, 10**9) == 0b01111
+    # star keeps a point only while every V-step stays in the set or leaves U
+    assert local_star_n(inst, 0b00011, u, v, 1) == 0b00001
+    assert local_star_n(inst, 0b01100, u, v, 10**9) == 0b01100

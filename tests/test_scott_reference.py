@@ -19,20 +19,22 @@ import pytest
 
 from orbitpieces import scott
 from orbitpieces.algebra import (
+    conjugate,
     cyclic_group,
     group_from_generators,
     subgroup_closure,
     symmetric_closure,
 )
-from orbitpieces.bits import mask_of
+from orbitpieces.bits import bits, is_subset, mask_of
 from orbitpieces.gspace import (
     build_instance,
     make_coset_action,
     make_cyclic_self,
     make_random,
     orbit,
+    translate_set,
 )
-from orbitpieces.saturation import orbit_partition
+from orbitpieces.saturation import orbit_partition, reach_sets
 from orbitpieces.scott import (
     Signature,
     analyze,
@@ -303,3 +305,113 @@ def test_scott_rank_matches_the_full_scan(key):
         assert t.stabilization == 2 and 1 in ranks
     if key == "z10l3":
         assert t.stabilization == 3 and ranks == [3] * inst.size
+
+
+# ---------------------------------------------------------------------------
+# the successor-piece decomposition
+#
+# The engine's ``piece_from_decomposition`` builds each cell's candidate
+# pairs (U_j = hU_i, cells over m) once per table, memoises each orbit's hit
+# blocks and the (X∖U_n)-padded part per level, and ORs per U_i before ORing
+# over the subsets of each U_n.  The reference is the earlier per-call form: it rebuilds the candidate
+# set of every U_n from the reach sets, and evaluates hit blocks lazily;
+# ``memo`` holds its per-table index maps and reach sets common to each U_i.
+
+
+def _ref_decomp_tables(inst):
+    membersU = inst.basisU.members
+    order = inst.group.order
+    t_u = [[inst.basisU.index(translate_set(inst, u, g)) for g in range(order)]
+           for u in membersU]
+    c_v = [[inst.basisV.index(conjugate(v, g, inst.group)) for g in range(order)]
+           for v in inst.basisV.members]
+    subsets = [[i for i, ui in enumerate(membersU) if is_subset(ui, un)] for un in membersU]
+    return t_u, c_v, subsets
+
+
+def _ref_piece_from_decomposition(table, x: int, u_idx: int, v_idx: int, level, memo: dict) -> int:
+    inst = table.instance
+    membersU = inst.basisU.members
+    membersV = inst.basisV.members
+    u = membersU[u_idx]
+    v = membersV[v_idx]
+    if not u >> x & 1:
+        raise ValueError(f"point {x} is not in U_{u_idx}")
+    lvl = table.resolve_level(level)
+    if lvl < 1:
+        raise ValueError("the decomposition needs level >= 1")
+    data = table.levels[lvl - 1]
+    if not memo:
+        memo["tables"] = _ref_decomp_tables(inst)
+    t_u, c_v, subsets = memo["tables"]
+    common_reach = memo.setdefault("reach", {})
+
+    reach = reach_sets(inst, x, u, v)
+    orb = 0
+    for g in bits(reach):
+        orb |= 1 << inst.act[g][x]
+
+    hits: dict[int, int] = {}
+
+    def blocks_hit(ci: int) -> int:
+        got = hits.get(ci)
+        if got is None:
+            got = 0
+            for _, mask in data[ci]:
+                if mask & orb:
+                    got |= mask
+            hits[ci] = got
+        return got
+
+    n_v = len(membersV)
+    full = inst.full_points
+    result = full
+    for n, un in enumerate(membersU):
+        candidates: set[tuple[int, int]] = set()  # (U-index of hU_i, h)
+        for i in subsets[n]:
+            key = (u_idx, v_idx, i)
+            ru = common_reach.get(key)
+            if ru is None:
+                ru = inst.group.full
+                for t in bits(membersU[i]):
+                    ru &= reach_sets(inst, t, u, v)
+                common_reach[key] = ru
+            row = t_u[i]
+            for h in bits(ru):
+                j = row[h]
+                if membersU[j] & orb:
+                    candidates.add((j, h))
+        for m in range(n_v):
+            second = (full & ~un) | blocks_hit(n * n_v + m)
+            result &= second
+            if candidates:
+                first = 0
+                for j, h in candidates:
+                    first |= blocks_hit(j * n_v + c_v[m][h])
+                result &= first
+    return result
+
+
+def _decomposition_corpus():
+    yield from GOLDEN.items()  # the named instances and z10l3 among them
+    for s in range(32):
+        yield f"random{s}", make_random(s)
+    for s in range(16):
+        yield f"strict{s}", make_random(s, strict=True)
+    yield from _wide_corpus()
+
+
+def test_piece_from_decomposition_matches_the_per_call_reference():
+    calls = 0
+    for key, inst in _decomposition_corpus():
+        t = analyze(inst)
+        memo: dict = {}
+        for ci, (n, m) in enumerate(t.cells):
+            for part in t.cell_orbits[ci]:
+                x = (part & -part).bit_length() - 1
+                for alpha in range(1, t.stabilization + 2):
+                    want = _ref_piece_from_decomposition(t, x, n, m, alpha, memo)
+                    assert scott.piece_from_decomposition(t, x, n, m, alpha) == want, (
+                        key, x, n, m, alpha)
+                    calls += 1
+    assert calls > 14000
