@@ -29,7 +29,6 @@ against a one-step ``act_image``, so the two stay independent computations.
 from __future__ import annotations
 
 import weakref
-from itertools import islice
 
 from .bits import bits, image_mask, to_list, union_over
 from .gspace import ActionInstance
@@ -68,14 +67,15 @@ def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
     return saturate(inst, 1 << x, u, v)
 
 
-def _reach_rounds(inst: ActionInstance, x: int, u: int, v: int):
-    """Yield ⟨V⟩ˣ_U at depths 1, 2, ... for x ∈ U, ending with the first
-    depth that adds nothing (the fixpoint)."""
+def _reach_stages(inst: ActionInstance, x: int, u: int, v: int, depth: int | None) -> list[int]:
+    """⟨V⟩ˣ_U at depths 1, 2, ..., ``depth`` (None: no limit) for x ∈ U; the
+    list ends early at the first depth that adds nothing (the fixpoint)."""
     rows = [inst.group.mul[g] for g in to_list(v)]
     act = inst.act
     cur = 1  # {identity}
     new = [0]
-    while new:  # no new elements: fixed
+    out = []
+    while new and (depth is None or len(out) < depth):  # no new elements: fixed
         added = []
         for h in new:
             for row in rows:
@@ -84,7 +84,8 @@ def _reach_rounds(inst: ActionInstance, x: int, u: int, v: int):
                     cur |= 1 << gh
                     added.append(gh)
         new = added
-        yield cur
+        out.append(cur)
+    return out
 
 
 def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None = None) -> int:
@@ -102,19 +103,15 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     """
     if not u >> x & 1:
         return 0
-    cur = 1
-    if depth != 0:
-        for n, cur in enumerate(_reach_rounds(inst, x, u, v), 1):
-            if n == depth:
-                break
-    return cur
+    stages = _reach_stages(inst, x, u, v, depth)
+    return stages[-1] if stages else 1
 
 
 def reach_stages(inst: ActionInstance, x: int, u: int, v: int, n: int) -> list[int]:
     """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n, from one pass."""
     if not u >> x & 1:
         return [0] * n
-    out = list(islice(_reach_rounds(inst, x, u, v), n))
+    out = _reach_stages(inst, x, u, v, n)
     return out + out[-1:] * (n - len(out))
 
 
