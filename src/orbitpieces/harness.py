@@ -268,6 +268,18 @@ class _Memo(dict):
         return got
 
 
+def _padded_star_limit(inst: ActionInstance, a: int, u: int, v: int) -> int:
+    """A^{*_U V} from its definition, independent of ``local_star``: from A∩U,
+    S ← star(S ∪ (X∖U), V) ∩ U until S stops changing."""
+    pad = inst.full_points & ~u
+    cur = a & u
+    while True:
+        nxt = star(inst, cur | pad, v) & u
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def _sym_subsets_with_identity(v: int, inv) -> list[int]:
     """Every symmetric subset of v that contains the identity."""
     pairs = []
@@ -521,7 +533,7 @@ def _suite_vaught(ctx: _Ctx):
             ctx.fail("vaught", "delta-monotone-in-V", (n, m), A=to_list(a), V2=to_list(v2))
         if not is_subset(ls, local_star(inst, a, u, v2)):
             ctx.fail("vaught", "star-antitone-in-V", (n, m), A=to_list(a), V2=to_list(v2))
-        if local_delta(inst, u & ~a, u, v) != u & ~ls:
+        if local_delta(inst, u & ~a, u, v) != u & ~_padded_star_limit(inst, a, u, v):
             ctx.fail("vaught", "delta-star-duality", (n, m), A=to_list(a))
         if local_delta(inst, a | b, u, v) != ld | local_delta(inst, b, u, v):
             ctx.fail("vaught", "delta-union-law", (n, m), A=to_list(a), B=to_list(b))
@@ -600,17 +612,40 @@ def _oracle_level1_cell(inst, u, v):
     Returns (value, points) pairs ordered by least point, where value is the
     intersection the formula assigns to every point of the block.
     """
-    membersU = inst.basisU.members
     full = inst.full_points
-    sats = [saturate_by_parts(inst, ul, u, v) for ul in membersU]
+    sats = [saturate_by_parts(inst, ul, u, v) for ul in inst.basisU.members]
     out: dict[int, int] = {}
     for x in bits(u):
-        ox = local_orbit(inst, x, u, v)
-        b = u
-        for s in sats:
-            b &= s if ox & s else full & ~s
+        b = _formula_block(local_orbit(inst, x, u, v), sats, u, full)
         out[b] = out.get(b, 0) | 1 << x
     return sorted(out.items(), key=lambda kv: kv[1] & -kv[1])
+
+
+def _formula_block(orb: int, sats, u: int, full: int) -> int:
+    """The intersection formula for one orbit: U ∩ every saturation it meets
+    ∩ the complement of every one it misses."""
+    b = u
+    for s in sats:
+        b &= s if orb & s else full & ~s
+    return b
+
+
+def _successor_formula(inst, data, parts, u: int, v: int) -> list[int]:
+    """The blocks the intersection formula gives a cell's orbits ``parts``
+    over the level ``data``, ordered by least point.
+
+    Each distinct block mask of the level is saturated once, and only the
+    distinct saturations enter the formula: a saturation that recurs would
+    AND the same factor in again.
+    """
+    masks = {mask for blocks in data for _, mask in blocks}
+    sats = {saturate_by_parts(inst, mask, u, v) for mask in masks}
+    full = inst.full_points
+    got: dict[int, int] = {}
+    for part in parts:
+        b = _formula_block(part, sats, u, full)
+        got[b] = got.get(b, 0) | part
+    return sorted(got.values(), key=lambda m2: m2 & -m2)
 
 
 def _suite_phar(ctx: _Ctx):
@@ -618,7 +653,6 @@ def _suite_phar(ctx: _Ctx):
     table = ctx.table
     membersU = inst.basisU.members
     membersV = inst.basisV.members
-    full = inst.full_points
     cells = table.cells
     n_cells = len(cells)
 
@@ -650,20 +684,7 @@ def _suite_phar(ctx: _Ctx):
         for ci in cell_ids:
             n, m = cells[ci]
             u, v = membersU[n], membersV[m]
-            sat_cache: dict[tuple[int, int], int] = {}
-            got: dict[int, int] = {}
-            for part in table.cell_orbits[ci]:
-                b = u
-                for cj in range(n_cells):
-                    for _, mask in data[cj]:
-                        key = (cj, mask)
-                        s = sat_cache.get(key)
-                        if s is None:
-                            s = saturate_by_parts(inst, mask, u, v)
-                            sat_cache[key] = s
-                        b &= s if part & s else full & ~s
-                got[b] = got.get(b, 0) | part
-            oracle = sorted(got.values(), key=lambda m2: m2 & -m2)
+            oracle = _successor_formula(inst, data, table.cell_orbits[ci], u, v)
             engine = [mask for _, mask in nxt[ci]]
             if oracle != engine:
                 ctx.fail("phar", "successor-intersection-formula", (n, m), level=lvl,

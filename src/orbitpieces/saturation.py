@@ -12,7 +12,11 @@ every depth, including depth 0.
 Both fixpoints are computed semi-naively: a round expands only what the round
 before it added, since everything reachable from older members is already in
 the current stage.  The stages, and so every finite depth and the limit, are
-the same as when the whole stage is expanded each round.
+the same as when the whole stage is expanded each round.  The reach stages of
+one (x, U, V) are computed once, up to the fixpoint, and memoised per
+instance as a list: any depth, the stage lists of ``reach_stages`` and the
+full set of ``cached_reach`` are read from it (depth 0 is {e} and any depth
+past the fixpoint is the last stage).
 
 A neighbourhood V is applied to many sets, so ``point_images`` tabulates it
 once per instance: ``nb[p] = V·p`` (or ``V⁻¹·p``) as one mask per point.  V·A
@@ -67,15 +71,15 @@ def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
     return saturate(inst, 1 << x, u, v)
 
 
-def _reach_stages(inst: ActionInstance, x: int, u: int, v: int, depth: int | None) -> list[int]:
-    """⟨V⟩ˣ_U at depths 1, 2, ..., ``depth`` (None: no limit) for x ∈ U; the
-    list ends early at the first depth that adds nothing (the fixpoint)."""
+def _reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
+    """⟨V⟩ˣ_U at depths 1, 2, ... for x ∈ U, up to and including the first
+    depth that adds nothing (the fixpoint)."""
     rows = [inst.group.mul[g] for g in to_list(v)]
     act = inst.act
     cur = 1  # {identity}
     new = [0]
     out = []
-    while new and (depth is None or len(out) < depth):  # no new elements: fixed
+    while new:  # no new elements: fixed
         added = []
         for h in new:
             for row in rows:
@@ -88,8 +92,20 @@ def _reach_stages(inst: ActionInstance, x: int, u: int, v: int, depth: int | Non
     return out
 
 
+def _stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
+    """The memoised ``_reach_stages`` list of x ∈ U (see the per-instance caches)."""
+    table = _REACH_CACHE.get(inst)
+    if table is None:
+        table = _REACH_CACHE[inst] = {}
+    key = (x, u, v)
+    got = table.get(key)
+    if got is None:
+        got = table[key] = _reach_stages(inst, x, u, v)
+    return got
+
+
 def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None = None) -> int:
-    """⟨V⟩ˣ_U at the given depth (None = the full, stabilized union).
+    """⟨V⟩ˣ_U at the given depth ≥ 0 (None = the full, stabilized union).
 
     Stage 0 is {identity} when x ∈ U; stage n+1 collects the products g·h
     with h in stage n, g ∈ V and (g·h)·x ∈ U.  The stages increase, so the
@@ -99,19 +115,27 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     stage n-1 lie in stage n, so stage n+1 is stage n plus the admissible
     products whose h is new at stage n.  Each element is expanded once, and
     every finite depth, as well as the fixpoint, gives the same set as
-    expanding the whole stage each time.
+    expanding the whole stage each time.  All depths of one (x, U, V) read
+    one memoised list of stages, and a depth at or past the fixpoint reads
+    its last entry.
     """
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be >= 0")
     if not u >> x & 1:
         return 0
-    stages = _reach_stages(inst, x, u, v, depth)
-    return stages[-1] if stages else 1
+    if depth == 0:
+        return 1
+    stages = _stages(inst, x, u, v)
+    return stages[-1] if depth is None or depth >= len(stages) else stages[depth - 1]
 
 
 def reach_stages(inst: ActionInstance, x: int, u: int, v: int, n: int) -> list[int]:
-    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n, from one pass."""
+    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n."""
+    if n < 0:
+        raise ValueError("depth must be >= 0")
     if not u >> x & 1:
         return [0] * n
-    out = _reach_stages(inst, x, u, v, n)
+    out = _stages(inst, x, u, v)[:n]
     return out + out[-1:] * (n - len(out))
 
 
@@ -167,7 +191,11 @@ def group_coset_partition(inst: ActionInstance, x: int, u: int, v: int) -> list[
 # The engine and the oracle suites evaluate local orbits and reach sets for
 # the same cells over and over, and apply the same neighbourhoods to many
 # sets; instances are immutable, so results are memoized in weak per-instance
-# tables.
+# tables.  ``_REACH_CACHE[inst][(x, u, v)]`` is the list of reach stages of
+# x ∈ U at depths 1..fixpoint, computed once; ``reach_sets`` at every depth,
+# ``reach_stages`` and ``cached_reach`` all index it.  Each table is read with
+# ``.get(inst)`` and created only on a miss, since ``setdefault`` on a
+# ``WeakKeyDictionary`` builds a weak reference with a callback on every call.
 
 _ORBIT_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
 _REACH_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
@@ -180,7 +208,9 @@ def point_images(inst: ActionInstance, v: int, inverse: bool = False) -> tuple[i
     V·A is the OR of the table over the points of A (``bits.union_over``);
     delta(A, V) = {x : V·x meets A} is the same OR over the ``V⁻¹`` table.
     """
-    table = _IMAGE_CACHE.setdefault(inst, {})
+    table = _IMAGE_CACHE.get(inst)
+    if table is None:
+        table = _IMAGE_CACHE[inst] = {}
     key = ~v if inverse else v  # v >= 0, so the two kinds of key never meet
     got = table.get(key)
     if got is None:
@@ -198,7 +228,9 @@ def point_images(inst: ActionInstance, v: int, inverse: bool = False) -> tuple[i
 
 def orbit_partition(inst: ActionInstance, u: int, v: int) -> tuple[int, ...]:
     """The distinct local V_U-orbits inside U, ordered by least point."""
-    table = _ORBIT_CACHE.setdefault(inst, {})
+    table = _ORBIT_CACHE.get(inst)
+    if table is None:
+        table = _ORBIT_CACHE[inst] = {}
     key = (u, v)
     got = table.get(key)
     if got is not None:
@@ -216,14 +248,8 @@ def orbit_partition(inst: ActionInstance, u: int, v: int) -> tuple[int, ...]:
 
 
 def cached_reach(inst: ActionInstance, x: int, u: int, v: int) -> int:
-    """Memoized full reach set ⟨V⟩ˣ_U."""
-    table = _REACH_CACHE.setdefault(inst, {})
-    key = (x, u, v)
-    got = table.get(key)
-    if got is None:
-        got = reach_sets(inst, x, u, v)
-        table[key] = got
-    return got
+    """The full reach set ⟨V⟩ˣ_U, read from the per-instance stage memo."""
+    return reach_sets(inst, x, u, v)
 
 
 def saturate_by_parts(inst: ActionInstance, a: int, u: int, v: int) -> int:

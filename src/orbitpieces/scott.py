@@ -323,10 +323,10 @@ def _decomp_pairs(table: PieceTable, u_idx: int, v_idx: int):
     """The candidates of the cell (U, V), and per U_n the U_i inside it that have any.
 
     A candidate of U_i is a pair (U_j, cells), one per h ∈ ⟨V⟩^{U_i}_U, with
-    U_j = hU_i and ``cells`` the index of the cell (j, conjugate of m by h)
-    for each V-index m.  A point outside U has no reach set, so only the U_i
-    inside U can have candidates.  None of this depends on the level or the
-    point, so it is built once per cell.
+    U_j = hU_i and ``cells`` the tuple of the indices of the cells
+    (j, conjugate of m by h) over the V-indices m.  A point outside U has no
+    reach set, so only the U_i inside U can have candidates.  None of this
+    depends on the level or the point, so it is built once per cell.
     """
     memo = table._caches.setdefault("pairs", {})
     got = memo.get((u_idx, v_idx))
@@ -342,7 +342,7 @@ def _decomp_pairs(table: PieceTable, u_idx: int, v_idx: int):
             common = reach_common(inst, membersU[i], u, v)
             if common:
                 cands[i] = [
-                    (membersU[t_u[i][h]], [t_u[i][h] * n_v + c_v[m][h] for m in range(n_v)])
+                    (membersU[t_u[i][h]], tuple(t_u[i][h] * n_v + c_v[m][h] for m in range(n_v)))
                     for h in to_list(common)
                 ]
         within = [[i for i in sub if i in cands] for sub in subsets]
@@ -350,10 +350,28 @@ def _decomp_pairs(table: PieceTable, u_idx: int, v_idx: int):
     return got
 
 
+class _Packed(dict):
+    """Cell tuple → the hit blocks of its cells packed into one int, the
+    entry for V-index m at bit offset m·|X|; filled on first use."""
+
+    def __init__(self, hits, width: int):
+        super().__init__()
+        self.hits = hits
+        self.width = width
+
+    def __missing__(self, cells):
+        p = 0
+        for ci in reversed(cells):
+            p = p << self.width | self.hits[ci]
+        self[cells] = p
+        return p
+
+
 def _orbit_hits(table: PieceTable, lvl: int, orb: int):
     """For one orbit at one level: per cell, the union of its blocks that the
-    orbit meets; and the intersection over cells (n, m) of (X∖U_n) ∪ that
-    union.  Orbits recur across cells, so both are memoised per (level, orbit).
+    orbit meets, packed per candidate cell tuple (``_Packed``); and the
+    intersection over cells (n, m) of (X∖U_n) ∪ that union.  Orbits recur
+    across cells, so both are memoised per (level, orbit).
     """
     memo = table._caches.setdefault("hits", {})
     got = memo.get((lvl, orb))
@@ -373,7 +391,7 @@ def _orbit_hits(table: PieceTable, lvl: int, orb: int):
             outside = full & ~un
             for ci in range(n * n_v, (n + 1) * n_v):
                 second &= outside | hits[ci]
-        got = memo[(lvl, orb)] = (hits, second)
+        got = memo[(lvl, orb)] = (_Packed(hits, inst.size), second)
     return got
 
 
@@ -389,9 +407,11 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     compared against the engine's table by the differential suite.
 
     Part (b) and the hit blocks come from ``_orbit_hits`` and the candidates
-    of each U_i from ``_decomp_pairs``.  A call keeps the candidates whose U_j
-    meets the orbit, ORs their cells' hit blocks once per (i, m), and then
-    ORs those over the U_i inside each U_n.
+    of each U_i from ``_decomp_pairs``.  The hit blocks of a candidate's cells
+    come packed into one int, the block for V-index m at bit offset m·|X|, so
+    a call ORs one int per candidate that meets the orbit, ORs those over the
+    U_i inside each U_n, ANDs the unions in packed form and unpacks the
+    result once, one |X|-bit field per m.
     """
     inst = table.instance
     u = inst.basisU[u_idx]
@@ -406,26 +426,27 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     orb = 0
     for g in to_list(cached_reach(inst, x, u, v)):
         orb |= 1 << inst.act[g][x]
-    hits, result = _orbit_hits(table, lvl, orb)
-    # per U_i and V-index m, the union of hit blocks over the candidates of
-    # U_i that meet the orbit; U_i is left out when none does
+    packed, result = _orbit_hits(table, lvl, orb)
+    # per U_i, the packed union of hit blocks over the candidates of U_i that
+    # meet the orbit; U_i is left out when none does
     firsts = {}
     for i, pairs in cands.items():
         first = None
         for uj, cells in pairs:
             if uj & orb:
-                if first is None:
-                    first = [0] * len(cells)
-                for m, ci in enumerate(cells):
-                    first[m] |= hits[ci]
+                first = packed[cells] if first is None else first | packed[cells]
         if first is not None:
             firsts[i] = first
+    acc = -1  # every field full
     for idxs in within:
         found = [firsts[i] for i in idxs if i in firsts]
         if found:
-            for m in range(len(inst.basisV)):
-                first = 0
-                for f in found:
-                    first |= f[m]
-                result &= first
+            first = 0
+            for f in found:
+                first |= f
+            acc &= first
+    full, width = inst.full_points, inst.size
+    for _ in range(len(inst.basisV)):
+        result &= acc & full
+        acc >>= width
     return result

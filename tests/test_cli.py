@@ -175,6 +175,17 @@ def test_reach_depth_conventions(capsys):
     assert code == 0 and out == "{0}\n"  # just the identity element
 
 
+@pytest.mark.parametrize("x", ["0", "1"])
+def test_reach_rejects_a_negative_depth(capsys, x):
+    # x = 1 lies outside U_0, where every depth used to read as the empty set
+    code, out, err = run(
+        capsys, "reach", "--instance", "z4self",
+        "--x", x, "--u", "0", "--v", "0", "--depth", "-1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "depth must be >= 0" in err
+
+
 def test_transform_kinds(capsys):
     code, out, _ = run(
         capsys, "transform", "--instance", "z4self",

@@ -6,8 +6,9 @@ and read by ``validate``; the point, family, level and set arguments of the
 query commands take arbitrary values, and some argument lists are ones
 argparse itself rejects (a flag dropped, a value that is not an int or not a
 choice, an unknown flag).  Every run must exit 0, or 1 with an ``error:``
-line on stderr.  Index values stay below 2^20 so that a missing
-bound check shows as a wrong exit, not as a multi-gigabyte ``1 << x``.
+line on stderr, and a ``reach`` with a negative depth must exit 1.  Index
+values stay below 2^20 so that a missing bound check shows as a wrong exit,
+not as a multi-gigabyte ``1 << x``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def _assert_clean_exit(argv):
     assert code in (0, 1), (argv, code, err)
     if code == 1:
         assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+    return code
 
 
 def _mutate(doc, data):
@@ -164,4 +166,6 @@ def test_cli_arguments_exit_cleanly(command, instance, data):
         argv[i] = argv[i].split("=")[0] + "=" + value
     elif fault == "unknown":
         argv.append("--bogus=1")
-    _assert_clean_exit(argv)
+    code = _assert_clean_exit(argv)
+    if command == "reach" and any(arg.startswith("--depth=-") for arg in argv):
+        assert code == 1, argv  # a negative depth is never answered

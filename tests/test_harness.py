@@ -253,3 +253,13 @@ def test_per_instance_memos_are_released_with_the_instance():
     gc.collect()
     assert ref() is None
     assert [len(cache) for cache in caches] == [n - 1 for n in before]
+
+
+def test_delta_star_duality_reads_the_padded_star_loop(monkeypatch):
+    # local_star is computed as the complement of delta stages, so comparing
+    # it with local_delta would hold by construction; the duality check uses
+    # a star limit built on ``star`` instead, and a broken ``star`` shows there
+    real_star = harness.star
+    monkeypatch.setattr(harness, "star", lambda inst, a, h: real_star(inst, a, h) & ~1)
+    checks = {e["check"] for s in range(4) for e in run_oracles(make_random(s), "vaught")}
+    assert "delta-star-duality" in checks

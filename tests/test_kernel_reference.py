@@ -12,14 +12,21 @@ per-point table of V (``point_images``), and ``local_star_n`` is computed by
 duality from the delta stages.  The ``par_`` references are their forms
 before the tables: one ``act_image`` per saturation round, one ``delta`` or
 padded ``star`` per stage, each stopping once two stages agree.
+
+``reach_sets``, ``reach_stages`` and ``cached_reach`` read one memoised list
+of reach stages per (x, U, V).  On fresh instances they are called at
+shuffled depths, the full set first or last, so that a memo shaped by the
+depth of the call that filled it shows against ``ref_reach_sets``.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitpieces import saturation
 from orbitpieces.bits import bits, to_list
 from orbitpieces.gspace import (
     NAMED_INSTANCES,
@@ -30,6 +37,7 @@ from orbitpieces.gspace import (
 )
 from orbitpieces.saturation import (
     act_image,
+    cached_reach,
     local_orbit,
     orbit_partition,
     point_images,
@@ -247,6 +255,57 @@ def _check_cell(inst, rng, u, v):
         for depth in [*range(k + 2), None]:
             assert reach_sets(inst, x, u, v, depth) == 0
         assert reach_stages(inst, x, u, v, k + 1) == [0] * (k + 1)
+
+
+def _fresh_instances():
+    for k in NAMED_INSTANCES:
+        yield named_instance(k)
+    for s in range(32):
+        yield make_random(s)
+    for s in range(16):
+        yield make_random(s, strict=True)
+
+
+@pytest.mark.parametrize("none_first", [True, False], ids=["none-first", "none-last"])
+def test_reach_memo_answers_depths_in_any_order(none_first):
+    # One stage list per (x, U, V) serves every depth.  A memo filled by the
+    # first call must not depend on that call's depth: fresh instances start
+    # with an empty memo, and the depths come shuffled, the full set first
+    # or last.
+    rng = random.Random(f"reach-order:{none_first}")
+    for inst in _fresh_instances():
+        assert inst not in saturation._REACH_CACHE
+        for u in inst.basisU:
+            k = u.bit_count()
+            inside = [y for y in range(inst.size) if u >> y & 1]
+            outside = [y for y in range(inst.size) if not u >> y & 1]
+            points = rng.sample(inside, min(2, len(inside))) + rng.sample(outside, min(1, len(outside)))
+            for v in inst.basisV:
+                for x in points:
+                    want = [ref_reach_sets(inst, x, u, v, d) for d in range(k + 3)]
+                    full = ref_reach_sets(inst, x, u, v)
+                    depths = list(range(k + 3))
+                    rng.shuffle(depths)
+                    for d in [None, *depths] if none_first else [*depths, None]:
+                        if d is None:
+                            assert cached_reach(inst, x, u, v) == full, (inst.name, x)
+                            assert reach_sets(inst, x, u, v) == full, (inst.name, x)
+                        elif rng.random() < 0.5:
+                            assert reach_stages(inst, x, u, v, d) == want[1:d + 1], (inst.name, x, d)
+                            assert reach_sets(inst, x, u, v, d) == want[d], (inst.name, x, d)
+                        else:
+                            assert reach_sets(inst, x, u, v, d) == want[d], (inst.name, x, d)
+                            assert reach_stages(inst, x, u, v, d) == want[1:d + 1], (inst.name, x, d)
+
+
+def test_a_negative_depth_is_rejected():
+    inst = named_instance("z4self")
+    u, v = inst.basisU[0], inst.basisV[0]
+    for x in range(inst.size):  # inside U_0 and outside it
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            reach_sets(inst, x, u, v, -1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            reach_stages(inst, x, u, v, -1)
 
 
 def test_a_lopsided_neighbourhood_is_read_through_its_inverse():

@@ -17,7 +17,7 @@ from itertools import islice
 
 import pytest
 
-from orbitpieces import scott
+from orbitpieces import harness, scott
 from orbitpieces.algebra import (
     conjugate,
     cyclic_group,
@@ -34,7 +34,7 @@ from orbitpieces.gspace import (
     orbit,
     translate_set,
 )
-from orbitpieces.saturation import orbit_partition, reach_sets
+from orbitpieces.saturation import orbit_partition, reach_sets, saturate_by_parts
 from orbitpieces.scott import (
     Signature,
     analyze,
@@ -392,20 +392,46 @@ def _ref_piece_from_decomposition(table, x: int, u_idx: int, v_idx: int, level, 
     return result
 
 
-def _decomposition_corpus():
+def _small_corpus():
     yield from GOLDEN.items()  # the named instances and z10l3 among them
     for s in range(32):
         yield f"random{s}", make_random(s)
     for s in range(16):
         yield f"strict{s}", make_random(s, strict=True)
+
+
+def _decomposition_corpus():
+    yield from _small_corpus()
     yield from _wide_corpus()
+
+
+def _check_packed_hits(table):
+    # Every V-index is ANDed into the result, and on this corpus one field
+    # alone already gives the same pieces, so a field packed at the wrong
+    # offset can leave every result intact: read the fields back directly.
+    inst = table.instance
+    full, width = inst.full_points, inst.size
+    for (lvl, orb), (packed, _) in table._caches["hits"].items():
+        for cells, p in packed.items():
+            for ci in cells:
+                want = 0
+                for _, mask in table.levels[lvl - 1][ci]:
+                    if mask & orb:
+                        want |= mask
+                assert p & full == want
+                p >>= width
+            assert p == 0
 
 
 def test_piece_from_decomposition_matches_the_per_call_reference():
     calls = 0
+    moved = set()  # instances where conjugating some V_m moves its index
     for key, inst in _decomposition_corpus():
         t = analyze(inst)
         memo: dict = {}
+        c_v = _ref_decomp_tables(inst)[1]
+        if any(row[h] != m for m, row in enumerate(c_v) for h in range(len(row))):
+            moved.add(key)
         for ci, (n, m) in enumerate(t.cells):
             for part in t.cell_orbits[ci]:
                 x = (part & -part).bit_length() - 1
@@ -414,4 +440,47 @@ def test_piece_from_decomposition_matches_the_per_call_reference():
                     assert scott.piece_from_decomposition(t, x, n, m, alpha) == want, (
                         key, x, n, m, alpha)
                     calls += 1
+        _check_packed_hits(t)
     assert calls > 14000
+    # the packed hit masks are laid out by V-index, so the instances whose
+    # candidate cell tuples are permuted must be among those compared
+    assert {"random7", "random8", "random11", "random13"} <= moved
+
+
+# The ``phar`` suite's successor agreement applies the intersection formula
+# over the distinct saturations of a level's distinct block masks.  The
+# reference is the earlier loop over every (cell, block) pair, which ANDs a
+# recurring saturation in once per occurrence.
+
+
+def _ref_successor_formula(inst, data, parts, u: int, v: int) -> list[int]:
+    full = inst.full_points
+    sat_cache: dict[tuple[int, int], int] = {}
+    got: dict[int, int] = {}
+    for part in parts:
+        b = u
+        for cj in range(len(data)):
+            for _, mask in data[cj]:
+                key = (cj, mask)
+                s = sat_cache.get(key)
+                if s is None:
+                    s = saturate_by_parts(inst, mask, u, v)
+                    sat_cache[key] = s
+                b &= s if part & s else full & ~s
+        got[b] = got.get(b, 0) | part
+    return sorted(got.values(), key=lambda m2: m2 & -m2)
+
+
+def test_successor_formula_matches_the_per_block_loop():
+    cells = 0
+    for key, inst in _small_corpus():
+        t = analyze(inst)
+        for lvl in range(1, t.stabilization + 1):
+            data = t.levels[lvl - 1]
+            for ci, (n, m) in enumerate(t.cells):
+                u, v = inst.basisU[n], inst.basisV[m]
+                parts = t.cell_orbits[ci]
+                want = _ref_successor_formula(inst, data, parts, u, v)
+                assert harness._successor_formula(inst, data, parts, u, v) == want, (key, lvl, n, m)
+                cells += 1
+    assert cells > 1000
