@@ -431,13 +431,16 @@ def test_report_refuses_the_vaught_wall_up_front(capsys, tmp_path):
     for suite in ("all", "vaught"):
         code, out, err = run(capsys, "report", "--instance", str(doc), "--suite", suite)
         assert code == 1 and out == ""
-        assert err.startswith("error: the vaught suite would list 2^72 symmetric subsets")
+        assert err.startswith(
+            "error: the vaught suite is limited to groups with at most 19 classes "
+            "{g, g^-1} of non-identity elements (this one has 72)"
+        )
         assert "Traceback" not in err
     for call in (
         lambda: build_analysis(inst),
         lambda: run_oracles(inst, "vaught"),
     ):
-        with pytest.raises(ValueError, match="2\\^72"):
+        with pytest.raises(ValueError, match="this one has 72\\)"):
             call()
 
 
