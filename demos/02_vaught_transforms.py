@@ -13,6 +13,7 @@ from orbitpieces.transforms import (
     delta,
     local_delta,
     local_delta_n,
+    local_delta_stages,
     local_star,
     star,
 )
@@ -41,17 +42,25 @@ rhs = x_full & ~delta(inst, x_full & ~a, h)
 print("star = ~delta(~A):", to_list(lhs) == to_list(rhs))
 
 # The local transforms refine stage by stage: delta stages grow, star stages
-# shrink, and both stop moving once the reach sets saturate.
-u = inst.basisU[0]
+# shrink, and both stop moving once the reach sets saturate.  One loop lists
+# the delta stages up to the first one that adds nothing; every later stage
+# equals the last entry, and the star stages are U minus the delta stages of
+# U minus the set.
+u = x_full  # the window U = X, along V = {0, +1, -1}
 v = inst.basisV[0]
-for n in (1, 2, 3):
-    show(f"local delta stage {n}", local_delta_n(inst, a, u, v, n))
-show("local delta limit", local_delta(inst, a, u, v))
-show("local star limit", local_star(inst, 0b0011, u, v))
+a0 = 0b0001  # the set {0}
+for n, stage in enumerate(local_delta_stages(inst, a0, u, v), 1):
+    show(f"local delta stage {n} of {{0}}", stage)
+show("local delta stage 10**9 of {0}", local_delta_n(inst, a0, u, v, 10**9))
+show("local delta limit of {0}", local_delta(inst, a0, u, v))
+b = 0b0111  # the set {0,1,2}
+for n, stage in enumerate(local_delta_stages(inst, u & ~b, u, v), 1):
+    show(f"local star stage {n} of {{0,1,2}}", u & ~stage)
+show("local star limit of {0,1,2}", local_star(inst, b, u, v))
 print()
 
 # In the finite setting the saturation and the limit delta transform agree.
 print(
     "saturate == local delta limit:",
-    saturate(inst, a, u, v) == local_delta(inst, a, u, v),
+    saturate(inst, a0, u, v) == local_delta(inst, a0, u, v),
 )

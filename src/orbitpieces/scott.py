@@ -34,7 +34,6 @@ from itertools import compress
 
 from .bits import is_subset, mask_of, to_list
 from .gspace import ActionInstance, orbit, translate_set
-from .algebra import conjugate
 from .saturation import cached_reach, orbit_partition, reach_common
 
 
@@ -294,104 +293,66 @@ def pattern_partition(inst: ActionInstance) -> list[int]:
 
 
 def _decomp_tables(table: PieceTable):
-    """Lazy per-table translate/conjugate index maps and U-subset lists."""
+    """Lazy per-table translates (``translates[i][g]`` = gU_i) and U-subset lists."""
     cache = table._caches.get("decomp")
-    if cache is not None:
-        return cache
-    inst = table.instance
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    order = inst.group.order
-    t_u = [
-        [inst.basisU.index(translate_set(inst, u, g)) for g in range(order)]
-        for u in membersU
-    ]
-    c_v = [
-        [inst.basisV.index(conjugate(v, g, inst.group)) for g in range(order)]
-        for v in membersV
-    ]
-    subsets = [
-        [i for i, ui in enumerate(membersU) if is_subset(ui, un)]
-        for un in membersU
-    ]
-    cache = (t_u, c_v, subsets)
-    table._caches["decomp"] = cache
+    if cache is None:
+        inst = table.instance
+        membersU = inst.basisU.members
+        order = inst.group.order
+        translates = [[translate_set(inst, u, g) for g in range(order)] for u in membersU]
+        subsets = [[i for i, ui in enumerate(membersU) if is_subset(ui, un)] for un in membersU]
+        cache = table._caches["decomp"] = (translates, subsets)
     return cache
 
 
-def _decomp_pairs(table: PieceTable, u_idx: int, v_idx: int):
-    """The candidates of the cell (U, V), and per U_n the U_i inside it that have any.
+def _decomp_candidates(table: PieceTable, u_idx: int, v_idx: int) -> list[tuple[int, ...]]:
+    """The candidates of the cell (U, V): for each U_n that has any, the
+    distinct translates hU_i over the U_i inside U_n and h ∈ ⟨V⟩^{U_i}_U.
 
-    A candidate of U_i is a pair (U_j, cells), one per h ∈ ⟨V⟩^{U_i}_U, with
-    U_j = hU_i and ``cells`` the tuple of the indices of the cells
-    (j, conjugate of m by h) over the V-indices m.  A point outside U has no
-    reach set, so only the U_i inside U can have candidates.  None of this
-    depends on the level or the point, so it is built once per cell.
+    A point outside U has no reach set, so only the U_i inside U can have
+    candidates.  None of this depends on the level or the point, so it is
+    built once per cell.
     """
-    memo = table._caches.setdefault("pairs", {})
+    memo = table._caches.setdefault("candidates", {})
     got = memo.get((u_idx, v_idx))
     if got is None:
         inst = table.instance
         membersU = inst.basisU.members
-        n_v = len(inst.basisV)
         u = membersU[u_idx]
         v = inst.basisV[v_idx]
-        t_u, c_v, subsets = _decomp_tables(table)
+        translates, subsets = _decomp_tables(table)
         cands = {}
         for i in subsets[u_idx]:
-            common = reach_common(inst, membersU[i], u, v)
-            if common:
-                cands[i] = [
-                    (membersU[t_u[i][h]], tuple(t_u[i][h] * n_v + c_v[m][h] for m in range(n_v)))
-                    for h in to_list(common)
-                ]
-        within = [[i for i in sub if i in cands] for sub in subsets]
-        got = memo[(u_idx, v_idx)] = (cands, within)
+            row = translates[i]
+            cands[i] = {row[h] for h in to_list(reach_common(inst, membersU[i], u, v))}
+        got = []
+        for sub in subsets:
+            found = set().union(*(cands[i] for i in sub if i in cands))
+            if found:
+                got.append(tuple(found))
+        memo[(u_idx, v_idx)] = got
     return got
 
 
-class _Packed(dict):
-    """Cell tuple → the hit blocks of its cells packed into one int, the
-    entry for V-index m at bit offset m·|X|; filled on first use."""
-
-    def __init__(self, hits, width: int):
-        super().__init__()
-        self.hits = hits
-        self.width = width
-
-    def __missing__(self, cells):
-        p = 0
-        for ci in reversed(cells):
-            p = p << self.width | self.hits[ci]
-        self[cells] = p
-        return p
-
-
-def _orbit_hits(table: PieceTable, lvl: int, orb: int):
-    """For one orbit at one level: per cell, the union of its blocks that the
-    orbit meets, packed per candidate cell tuple (``_Packed``); and the
-    intersection over cells (n, m) of (X∖U_n) ∪ that union.  Orbits recur
-    across cells, so both are memoised per (level, orbit).
+def _orbit_hits(table: PieceTable, lvl: int, orb: int) -> int:
+    """Part (b) for one orbit at one level: the intersection over cells (n, m)
+    of (X∖U_n) ∪ the union of the blocks of (n, m) that the orbit meets.
+    Orbits recur across cells, so it is memoised per (level, orbit).
     """
     memo = table._caches.setdefault("hits", {})
     got = memo.get((lvl, orb))
     if got is None:
         inst = table.instance
-        n_v = len(inst.basisV)
         full = inst.full_points
-        hits = []
-        for blocks in table.levels[lvl - 1]:
-            hit = 0
+        membersU = inst.basisU.members
+        got = full
+        for (n, _), blocks in zip(table.cells, table.levels[lvl - 1]):
+            hit = full & ~membersU[n]
             for _, mask in blocks:
                 if mask & orb:
                     hit |= mask
-            hits.append(hit)
-        second = full
-        for n, un in enumerate(inst.basisU.members):
-            outside = full & ~un
-            for ci in range(n * n_v, (n + 1) * n_v):
-                second &= outside | hits[ci]
-        got = memo[(lvl, orb)] = (_Packed(hits, inst.size), second)
+            got &= hit
+        memo[(lvl, orb)] = got
     return got
 
 
@@ -406,12 +367,21 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     The result is the candidate for the level-(α+1) piece of x at (U, V),
     compared against the engine's table by the differential suite.
 
-    Part (b) and the hit blocks come from ``_orbit_hits`` and the candidates
-    of each U_i from ``_decomp_pairs``.  The hit blocks of a candidate's cells
-    come packed into one int, the block for V-index m at bit offset m·|X|, so
-    a call ORs one int per candidate that meets the orbit, ORs those over the
-    U_i inside each U_n, ANDs the unions in packed form and unpacks the
-    result once, one |X|-bit field per m.
+    Write hits[j, m] for the union of the blocks of cell (j, m) that the orbit
+    meets and ``second`` for part (b).  Two facts collapse part (a):
+
+    - the blocks of (j, m) partition U_j, so hits[j, m] ⊆ U_j;
+    - ``second`` ⊆ (X∖U_j) ∪ hits[j, m'] for every m', so
+      ``second`` ∩ U_j ⊆ hits[j, m'].
+
+    Hence ``second`` ∩ hits[j, m'] = ``second`` ∩ U_j for every candidate U_j
+    = hU_i and every V-index, whatever the conjugate index of V_m under h.
+    Intersected with ``second``, part (a) at (n, m) is the union of the
+    candidate U_j over the U_i inside U_n whose U_j meets the orbit (hits of a
+    U_j that misses the orbit are empty), the same for every m; an n whose
+    union is empty has no candidate and is skipped.  That part depends only on
+    (U, V, orbit), so it is memoised per (u_idx, v_idx, orbit) and shared by
+    every level; part (b) is memoised per (level, orbit) by ``_orbit_hits``.
     """
     inst = table.instance
     u = inst.basisU[u_idx]
@@ -421,32 +391,21 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     lvl = table.resolve_level(level)
     if lvl < 1:
         raise ValueError("the decomposition needs level >= 1")
-    cands, within = _decomp_pairs(table, u_idx, v_idx)
 
     orb = 0
     for g in to_list(cached_reach(inst, x, u, v)):
         orb |= 1 << inst.act[g][x]
-    packed, result = _orbit_hits(table, lvl, orb)
-    # per U_i, the packed union of hit blocks over the candidates of U_i that
-    # meet the orbit; U_i is left out when none does
-    firsts = {}
-    for i, pairs in cands.items():
-        first = None
-        for uj, cells in pairs:
-            if uj & orb:
-                first = packed[cells] if first is None else first | packed[cells]
-        if first is not None:
-            firsts[i] = first
-    acc = -1  # every field full
-    for idxs in within:
-        found = [firsts[i] for i in idxs if i in firsts]
-        if found:
-            first = 0
-            for f in found:
-                first |= f
-            acc &= first
-    full, width = inst.full_points, inst.size
-    for _ in range(len(inst.basisV)):
-        result &= acc & full
-        acc >>= width
-    return result
+    memo = table._caches.setdefault("first", {})
+    key = (u_idx, v_idx, orb)
+    first = memo.get(key)
+    if first is None:
+        first = inst.full_points
+        for cands in _decomp_candidates(table, u_idx, v_idx):
+            union = 0
+            for uj in cands:
+                if uj & orb:
+                    union |= uj
+            if union:
+                first &= union
+        memo[key] = first
+    return _orbit_hits(table, lvl, orb) & first

@@ -22,8 +22,10 @@ The stage transforms apply one V throughout, so they read its per-point
 table ``V⁻¹·p`` from ``saturation.point_images``: delta(B, V) = V⁻¹·B is the
 OR of the table over the points of B.  The delta stages increase (V holds
 the identity), so each round ORs in only the rows of the points the last
-round added.  The star stages come by duality: the complement in U of a star
-stage is U ∩ delta(U ∖ previous stage, V), so
+round added; ``local_delta_stages`` lists every stage up to the fixpoint in
+one such loop, and ``local_delta_n`` reads one entry of that list.  The star
+stages come by duality: the complement in U of a star stage is
+U ∩ delta(U ∖ previous stage, V), so
 
     A^{*_U(V,n)} = U ∖ (U∖A)^{Δ_U(V,n)}.
 
@@ -73,26 +75,36 @@ def _check_neighborhood(v: int) -> None:
         raise ValueError("V must contain the identity")
 
 
-def local_delta_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
-    """The stage transform A^{Δ_U(V,n)}, n ≥ 1.
+def local_delta_stages(inst: ActionInstance, a: int, u: int, v: int) -> list[int]:
+    """The stages A^{Δ_U(V,n)} for n = 1, 2, ... up to and including the
+    first stage that adds nothing (the fixpoint); every later stage equals the
+    last entry.
 
     The stages increase from A∩U, so each round ORs in the ``V⁻¹`` rows of
-    only the points the last round added.  Once a round adds nothing every
-    later stage is the same, so the loop stops there: a huge n costs no more
-    than the limit.
+    only the points the last round added.  Each stage that differs from the
+    one before it adds a point of U, so the list has at most |U| + 1 entries.
     """
-    if n < 1:
-        raise ValueError("stage must be >= 1")
     _check_neighborhood(v)
     back = point_images(inst, v, inverse=True)
     cur = union_over(back, a & u) & u
+    out = [cur]
     new = cur & ~a
-    for _ in range(n - 1):
-        if not new:
-            break
+    while new:
         new = union_over(back, new) & u & ~cur
         cur |= new
-    return cur
+        out.append(cur)
+    return out
+
+
+def local_delta_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
+    """The stage transform A^{Δ_U(V,n)}, n ≥ 1: entry n of
+    ``local_delta_stages``, or its last entry past the fixpoint, so a huge n
+    costs no more than the limit.
+    """
+    if n < 1:
+        raise ValueError("stage must be >= 1")
+    stages = local_delta_stages(inst, a, u, v)
+    return stages[min(n, len(stages)) - 1]
 
 
 def local_star_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
@@ -106,18 +118,20 @@ def local_star_n(inst: ActionInstance, a: int, u: int, v: int, n: int) -> int:
 
 
 def local_delta(inst: ActionInstance, a: int, u: int, v: int) -> int:
-    """The limit transform A^{Δ_U V} = union of the increasing delta stages.
+    """The limit transform A^{Δ_U V} = union of the increasing delta stages:
+    the last entry of ``local_delta_stages``.
 
     Each stage that differs from the one before it adds a point of U, so
     stage |U| + 1 is the limit.
     """
-    return local_delta_n(inst, a, u, v, u.bit_count() + 1)
+    return local_delta_stages(inst, a, u, v)[-1]
 
 
 def local_star(inst: ActionInstance, a: int, u: int, v: int) -> int:
-    """The limit transform A^{*_U V} = intersection of the decreasing star stages.
+    """The limit transform A^{*_U V} = intersection of the decreasing star stages,
+    by duality U ∖ (U∖A)^{Δ_U V}.
 
     Each stage that differs from the one before it drops a point of U, so
     stage |U| + 1 is the limit.
     """
-    return local_star_n(inst, a, u, v, u.bit_count() + 1)
+    return u & ~local_delta(inst, u & ~a, u, v)

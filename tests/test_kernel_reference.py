@@ -13,6 +13,12 @@ duality from the delta stages.  The ``par_`` references are their forms
 before the tables: one ``act_image`` per saturation round, one ``delta`` or
 padded ``star`` per stage, each stopping once two stages agree.
 
+``local_delta_n`` reads one list of delta stages up to the fixpoint
+(``local_delta_stages``), and the ``vaught`` suite takes every stage of a
+trial from such lists, the star stages by duality.  Each entry, and every
+index past the fixpoint, must agree with ``ref_local_delta_n`` and
+``ref_local_star_n``.
+
 ``reach_sets``, ``reach_stages`` and ``cached_reach`` read one memoised list
 of reach stages per (x, U, V).  On fresh instances they are called at
 shuffled depths, the full set first or last, so that a memo shaped by the
@@ -21,6 +27,7 @@ depth of the call that filled it shows against ``ref_reach_sets``.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -28,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitpieces import saturation
 from orbitpieces.bits import bits, to_list
+from orbitpieces.cli import main
 from orbitpieces.gspace import (
     NAMED_INSTANCES,
     make_cyclic_self,
@@ -49,6 +57,7 @@ from orbitpieces.transforms import (
     delta,
     local_delta,
     local_delta_n,
+    local_delta_stages,
     local_star,
     local_star_n,
     star,
@@ -255,6 +264,51 @@ def _check_cell(inst, rng, u, v):
         for depth in [*range(k + 2), None]:
             assert reach_sets(inst, x, u, v, depth) == 0
         assert reach_stages(inst, x, u, v, k + 1) == [0] * (k + 1)
+
+
+def test_stage_lists_match_the_references():
+    # Every cell under the V-family and three more neighbourhoods, with A
+    # random, empty, U itself and a superset of U.  A list ends at the first
+    # stage that adds nothing, and every later stage equals its last entry.
+    rng = random.Random("stage-lists")
+    for inst in INSTANCES:
+        full = inst.full_points
+        for v in _neighbourhoods(inst, rng):
+            for u in inst.basisU:
+                k = u.bit_count()
+                for a in (rng.getrandbits(inst.size), 0, u, u | rng.getrandbits(inst.size), full):
+                    want_d = [ref_local_delta_n(inst, a, u, v, n) for n in range(1, k + 3)]
+                    want_s = [ref_local_star_n(inst, a, u, v, n) for n in range(1, k + 3)]
+                    stages_d = local_delta_stages(inst, a, u, v)
+                    stages_s = [u & ~d for d in local_delta_stages(inst, u & ~a, u, v)]
+                    for got, want in ((stages_d, want_d), (stages_s, want_s)):
+                        f = len(got)
+                        assert 1 <= f <= k + 1
+                        assert got == want[:f], (inst.name, a, u, v)
+                        assert want[f - 1:] == [got[-1]] * (k + 3 - f)
+                        assert all(got[i] != got[i + 1] for i in range(f - 2))
+                        assert f == 1 or got[-1] == got[-2]
+                    for n in (1, 2, k + 1, k + 2, 10**9):
+                        want = min(n, k + 2) - 1
+                        assert local_delta_n(inst, a, u, v, n) == want_d[want]
+                        assert local_star_n(inst, a, u, v, n) == want_s[want]
+
+
+@pytest.mark.parametrize("kind", ["local-delta", "local-star"])
+def test_cli_stages_match_the_references(capsys, kind):
+    ref = ref_local_delta_n if kind == "local-delta" else ref_local_star_n
+    inst = named_instance("z4self")
+    for u_idx, u in enumerate(inst.basisU):
+        for v_idx, v in enumerate(inst.basisV):
+            for a in (0, 0b0010, 0b0110, 0b1101, 0b1111):
+                for n in (1, 2, 10**9):
+                    assert main(["transform", "--instance", "z4self", "--kind", kind,
+                                 "--set", ",".join(map(str, to_list(a))),
+                                 "--u", str(u_idx), "--v", str(v_idx),
+                                 "--stage", str(n), "--json"]) == 0
+                    got = json.loads(capsys.readouterr().out)["transform"]
+                    want = ref(inst, a, u, v, min(n, u.bit_count() + 1))
+                    assert got == to_list(want), (a, u_idx, v_idx, n)
 
 
 def _fresh_instances():

@@ -310,11 +310,13 @@ def test_scott_rank_matches_the_full_scan(key):
 # ---------------------------------------------------------------------------
 # the successor-piece decomposition
 #
-# The engine's ``piece_from_decomposition`` builds each cell's candidate
-# pairs (U_j = hU_i, cells over m) once per table, memoises each orbit's hit
-# blocks and the (X∖U_n)-padded part per level, and ORs per U_i before ORing
-# over the subsets of each U_n.  The reference is the earlier per-call form: it rebuilds the candidate
-# set of every U_n from the reach sets, and evaluates hit blocks lazily;
+# The engine's ``piece_from_decomposition`` intersects part (b) with, per U_n,
+# the union of the candidate translates U_j = hU_i that meet the orbit: part
+# (b) makes every hit field of a candidate's cells agree with U_j (see its
+# docstring), so no per-V-index hit blocks are formed.  Part (b) is memoised
+# per (level, orbit), the candidate union per (cell, orbit).  The reference is
+# the earlier per-call form: it rebuilds the candidate set of every U_n from
+# the reach sets, and ANDs the hit blocks of every conjugated cell (j, m^h);
 # ``memo`` holds its per-table index maps and reach sets common to each U_i.
 
 
@@ -405,26 +407,24 @@ def _decomposition_corpus():
     yield from _wide_corpus()
 
 
-def _check_packed_hits(table):
-    # Every V-index is ANDed into the result, but part (b) makes each field
-    # alone give the same result: a point of the result in a candidate's hit
-    # field for V-index m lies in that candidate's U_j, and part (b) puts it
-    # in the hit blocks of every cell (j, m'), so in the field of every m'.
-    # No instance can show a field packed at the wrong offset through the
-    # results (none did on make_random 0-1999, exploratory and strict, or on
-    # 400 make_product pairs): read the fields back directly.
+def _check_hit_facts(table):
+    # The two facts that let the engine drop the hit blocks of part (a), for
+    # every (level, orbit) it memoised part (b) for: the hits of a cell (j, m)
+    # lie in U_j, and part (b) meets U_j inside the hits of every cell (j, m').
     inst = table.instance
-    full, width = inst.full_points, inst.size
-    for (lvl, orb), (packed, _) in table._caches["hits"].items():
-        for cells, p in packed.items():
-            for ci in cells:
-                want = 0
-                for _, mask in table.levels[lvl - 1][ci]:
-                    if mask & orb:
-                        want |= mask
-                assert p & full == want
-                p >>= width
-            assert p == 0
+    full = inst.full_points
+    membersU = inst.basisU.members
+    for (lvl, orb), second in table._caches["hits"].items():
+        want = full
+        for ci, (j, _) in enumerate(table.cells):
+            hits = 0
+            for _, mask in table.levels[lvl - 1][ci]:
+                if mask & orb:
+                    hits |= mask
+            assert is_subset(hits, membersU[j])
+            assert is_subset(second & membersU[j], hits)
+            want &= (full & ~membersU[j]) | hits
+        assert second == want
 
 
 def test_piece_from_decomposition_matches_the_per_call_reference():
@@ -444,10 +444,10 @@ def test_piece_from_decomposition_matches_the_per_call_reference():
                     assert scott.piece_from_decomposition(t, x, n, m, alpha) == want, (
                         key, x, n, m, alpha)
                     calls += 1
-        _check_packed_hits(t)
+        _check_hit_facts(t)
     assert calls > 14000
-    # the packed hit masks are laid out by V-index, so the instances whose
-    # candidate cell tuples are permuted must be among those compared
+    # the reference ANDs the hit blocks of the conjugated cells (j, m^h), so
+    # instances where conjugation permutes the V-indices must be compared
     assert {"random7", "random8", "random11", "random13"} <= moved
 
 
