@@ -93,6 +93,8 @@ def main() -> int:
         return 1
 
     parent = git("rev-parse", args.parent)
+    change = {"head": git("rev-parse", "HEAD"),
+              "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
@@ -114,8 +116,7 @@ def main() -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "parent": parent,
-        "change": {"head": git("rev-parse", "HEAD"),
-                   "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": change,
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over each side's runs",
