@@ -2,14 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_pairs.py --workload corpus --pairs 10 --seconds 60 --label corpus
+    python3 tools/bench_pairs.py --workload corpus --parent HEAD~1 --label corpus
 
-The parent commit (``--parent``, default HEAD) is exported with ``git
-archive`` into a temporary directory.  Each pair runs this tree's own
+The parent commit (``--parent``) is exported with ``git archive`` into a
+temporary directory.  Each of the ten pairs runs this tree's own
 ``perfbench/run.py`` once from that directory and once from the working
 tree, alternating which side goes first; ``run.py`` reads the library from
 the directory it runs in, so both sides run the same benchmark code on their
-own library sources.  The record ``BENCH_<label>.json`` holds every run's
+own library sources.  Every run lasts ``run_seconds`` from
+``BENCHMARK.json``; ten pairs is the fewest the benchmark's gain rule
+counts.  The record ``BENCH_<label>.json`` holds every run's
 result object and environment line, per end-to-end metric each side's median
 and quartiles and the pairs the change won, the commits, seed, run length
 and machine.  The temporary directory is removed at the end.
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -83,28 +86,28 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--label", required=True, help="the record is written to BENCH_<label>.json")
-    ap.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=60)
+    ap.add_argument("--parent", required=True, help="commit to compare the working tree against")
     ap.add_argument("--seed", type=int, default=7919)
     args = ap.parse_args()
-    if args.pairs < 2:
-        print("error: --pairs must be at least 2", file=sys.stderr)
-        return 1
 
     parent = git("rev-parse", args.parent)
     change = {"head": git("rev-parse", "HEAD"),
               "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    if parent == change["head"] and not change["uncommitted"]:
+        print(f"error: the working tree is {args.parent} itself; name the commit before the change",
+              file=sys.stderr)
+        return 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export(parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                got = run_once(sides[side], args.workload, args.seed, args.seconds)
+                got = run_once(sides[side], args.workload, args.seed, seconds)
                 runs.append({"pair": i, "side": side, "position": position, **got})
                 metrics = got["result"]["metrics"]
                 print(f"pair {i} {side}: " + ", ".join(
@@ -113,8 +116,8 @@ def main() -> int:
         "label": args.label,
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "parent": parent,
         "change": change,
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
