@@ -15,6 +15,7 @@ middle of the list and appended last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .bits import bits, to_list, universe
 
@@ -57,9 +58,11 @@ def _validate_table(mul: list[list[int]]) -> None:
     for g, row in enumerate(mul):
         if len(row) != n:
             raise GroupError(f"row {g} has length {len(row)}, expected {n}")
-        for v in row:
-            if type(v) is not int or not 0 <= v < n:
-                raise GroupError(f"entry {v!r} in row {g} out of range")
+        # whole-row test first; a bad row is rescanned for its first bad entry
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            for v in row:
+                if type(v) is not int or not 0 <= v < n:
+                    raise GroupError(f"entry {v!r} in row {g} out of range")
 
 
 def _find_identity(mul: list[list[int]]) -> int:
@@ -102,6 +105,23 @@ def generating_set(mul) -> list[int]:
     return gens
 
 
+def _inverses(mul) -> list[int]:
+    """The inverse of every element of a table whose identity is element 0.
+
+    The candidate for g is the first h with gh = e, ``row.index(0)``, and it is
+    kept only if hg = e as well.  With an associative finite table this is the
+    first two-sided inverse: if gh = e then g is invertible, so h is its only
+    right inverse, and hg = e.
+    """
+    inv = []
+    for g, row in enumerate(mul):
+        h = row.index(0) if 0 in row else -1
+        if h < 0 or mul[h][g] != 0:
+            raise GroupError(f"element {g} has no inverse")
+        inv.append(h)
+    return inv
+
+
 def group_from_table(mul_rows, name: str = "G") -> Group:
     """Build and fully validate a group from a multiplication table.
 
@@ -111,7 +131,13 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
     for which it holds contains the identity and is closed under products,
     since (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)) when c and d
     are in it, so holding on the generators it holds on the whole table.
-    Inverses are then checked for every element.
+
+    The test runs one whole row per (a, c): with col_c[x] = xc, the row
+    b ↦ (ab)c is col_c read at row_a, and b ↦ a(bc) is row_a read at col_c,
+    each one ``itemgetter`` call.  On a mismatch row a is rescanned in
+    (b, c) order, so the error names the same first (a, b, c) as a
+    triple loop over a, b and c would.  Inverses are then checked for every
+    element (``_inverses``).
     """
     mul = [list(row) for row in mul_rows]
     _validate_table(mul)
@@ -127,25 +153,18 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
                 new[p[a]][p[b]] = p[mul[a][b]]
         mul = new
     gens = generating_set(mul)
-    for a in range(n):
-        row_a = mul[a]
-        for b in range(n):
-            row_ab = mul[row_a[b]]
-            row_b = mul[b]
-            for c in gens:
-                if row_ab[c] != row_a[row_b[c]]:
-                    raise GroupError(
-                        f"associativity fails at ({a},{b},{c})"
-                    )
-    inv = [-1] * n
-    for g in range(n):
-        for h in range(n):
-            if mul[g][h] == 0 and mul[h][g] == 0:
-                inv[g] = h
-                break
-        else:
-            raise GroupError(f"element {g} has no inverse")
-    return Group(tuple(tuple(r) for r in mul), tuple(inv), name)
+    # n = 1 would make itemgetter return a scalar; the identity row is trivially associative
+    if n > 1:
+        cols = [[row[c] for row in mul] for c in gens]
+        read_cols = [itemgetter(*col) for col in cols]
+        for a, row_a in enumerate(mul):
+            read_a = itemgetter(*row_a)
+            for col, read_col in zip(cols, read_cols):
+                if read_a(col) != read_col(row_a):
+                    b, c = next((b, c) for b in range(n) for c in gens
+                                if mul[row_a[b]][c] != row_a[mul[b][c]])
+                    raise GroupError(f"associativity fails at ({a},{b},{c})")
+    return Group(tuple(tuple(r) for r in mul), tuple(_inverses(mul)), name)
 
 
 # `group_from_generators` refuses larger groups by default: the table has
@@ -336,9 +355,19 @@ def close_family(seeds, images, full: int) -> SetFamily:
 
     Seeds come first (in input order), then new images found by scanning the
     members in order; the full set is never kept mid-list and is appended last.
+
+    Precondition: ``images(m)`` yields the whole G-orbit of m, m included (the
+    translates of a point set under every action row, or the conjugates of an
+    element set under every group element).  A member is then expanded only
+    if no earlier member of its orbit was: its images would be that orbit
+    again, every set of which was pushed when the orbit was first expanded,
+    so skipping it pushes nothing and the first-seen order is unchanged.
+    ``images`` is called once per orbit that meets the seeds, not once per
+    member.
     """
     ordered: list[int] = []
     seen = {full}
+    expanded: set[int] = set()  # the members of every orbit expanded so far
 
     def push(masks) -> None:
         for m in masks:
@@ -347,10 +376,13 @@ def close_family(seeds, images, full: int) -> SetFamily:
                 ordered.append(m)
 
     push(seeds)
-    i = 0
-    while i < len(ordered):
-        push(images(ordered[i]))
-        i += 1
+    # every member after the seeds was pushed by an expansion, so only a seed
+    # can start a new orbit
+    for m in tuple(ordered):
+        if m not in expanded:
+            orb = list(images(m))
+            expanded.update(orb)
+            push(orb)
     ordered.append(full)
     return SetFamily(tuple(ordered))
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .algebra import (
     Group,
@@ -36,6 +38,14 @@ from .algebra import (
 from .bits import bits, image_mask, mask_of, to_list, universe
 
 MODES = ("strict", "exploratory")
+
+# `build_instance` refuses more cells (U, V) than this: `analyze` and the
+# oracle suites grow faster than the square of the cell count.  `orbitpieces
+# report` on Z/32 with interval windows of lengths 2..k+1 and V seeds {±1},
+# {±2}, 2-core VM: 195 cells 0.34 s and 25 MB, 387 cells 0.62 s and 33 MB,
+# 771 cells 2.3 s and 86 MB, 1,539 cells 11 s and 361 MB, 2,307 cells 36 s
+# and 1.1 GB.  The benchmark, golden and test instances have at most 200.
+MAX_CELLS = 1600
 
 
 class InstanceError(ValueError):
@@ -56,6 +66,23 @@ class ActionInstance:
     def full_points(self) -> int:
         return universe(self.size)
 
+    @cached_property
+    def orbits(self) -> tuple[int, ...]:
+        """The G-orbit mask of every point, ``orbits[x]`` = G·x.
+
+        Built on first use, one column scan of the action table per orbit:
+        the orbit of x is read off column x and stored for all its points.
+        """
+        out = [0] * self.size
+        for x in range(self.size):
+            if not out[x]:
+                m = 0
+                for row in self.act:
+                    m |= 1 << row[x]
+                for p in to_list(m):
+                    out[p] = m
+        return tuple(out)
+
 
 def translate_set(inst: ActionInstance, a: int, g: int) -> int:
     """Pointwise image g·A of a point set under one group element."""
@@ -63,14 +90,20 @@ def translate_set(inst: ActionInstance, a: int, g: int) -> int:
 
 
 def orbit(inst: ActionInstance, x: int) -> int:
-    """The global orbit G·x."""
-    m = 0
-    for g in range(inst.group.order):
-        m |= 1 << inst.act[g][x]
-    return m
+    """The global orbit G·x, read from the instance's orbit table."""
+    return inst.orbits[x]
 
 
 def _validate_action(group: Group, size: int, act) -> tuple[tuple[int, ...], ...]:
+    """Check that ``act`` is a permutation action of ``group``; return its rows.
+
+    Every row must be a permutation of the points, the identity row the
+    identity map, and (gh)x = g(hx) must hold for every generator g, every h
+    and every x.  The last check compares a whole row at a time: the row
+    x ↦ g(hx) is row_g read at row_h, against row_gh.  A mismatching row is
+    rescanned in x order, so the error names the same first (g, h, x) as a
+    loop over single points would.
+    """
     if size < 1:
         raise InstanceError("space must have at least one point")
     rows = [tuple(r) for r in act]
@@ -78,21 +111,26 @@ def _validate_action(group: Group, size: int, act) -> tuple[tuple[int, ...], ...
         raise InstanceError(
             f"action table has {len(rows)} rows, expected {group.order}"
         )
+    points = range(size)
+    point_set = set(points)
     for g, row in enumerate(rows):
-        if len(row) != size or sorted(row) != list(range(size)):
+        if len(row) != size or set(row) != point_set:
             raise InstanceError(f"action row for element {g} is not a permutation")
-    if rows[0] != tuple(range(size)):
+    if rows[0] != tuple(points):
         raise InstanceError("identity element does not act as the identity map")
     # (gh)x = g(hx) for every generator g suffices: with an associative
     # table, the g for which it holds for all h are closed under products.
+    # With one point every row is (0,), and itemgetter would return a scalar.
+    reads = [itemgetter(*row) for row in rows] if size > 1 else []
     for g in generating_set(group.mul):
-        for h in range(group.order):
-            gh = group.mul[g][h]
-            for x in range(size):
-                if rows[g][rows[h][x]] != rows[gh][x]:
-                    raise InstanceError(
-                        f"action is not compatible with the group at (g={g}, h={h}, x={x})"
-                    )
+        row_g, mul_g = rows[g], group.mul[g]
+        for h, read_h in enumerate(reads):
+            row_gh = rows[mul_g[h]]
+            if read_h(row_g) != row_gh:
+                x = next(x for x in points if row_g[rows[h][x]] != row_gh[x])
+                raise InstanceError(
+                    f"action is not compatible with the group at (g={g}, h={h}, x={x})"
+                )
     return tuple(rows)
 
 
@@ -129,12 +167,19 @@ def build_instance(
 
     ``seedsU``/``seedsV`` are bitmasks.  X is always appended to the U-family
     and G to the V-family, so the top pair (X, G) is always addressable.
+    Families closing to more than ``MAX_CELLS`` cells |𝒰|·|𝒱| are refused.
     """
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
     rows = _validate_action(group, size, act)
     basisU = close_family(seedsU, _translates(rows), universe(size))
     basisV = close_neighborhood_family(seedsV, group)
+    cells = len(basisU) * len(basisV)
+    if cells > MAX_CELLS:
+        raise InstanceError(
+            f"the families close to {len(basisU)} U-members and {len(basisV)} V-members, "
+            f"{cells} cells; at most {MAX_CELLS} are accepted"
+        )
     if mode == "strict":
         _check_strict(size, basisU, basisV)
     return ActionInstance(group, size, rows, basisU, basisV, mode, name)

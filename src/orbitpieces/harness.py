@@ -195,7 +195,7 @@ def parse_instance(document) -> ActionInstance:
         if type(size) is not int:
             raise InstanceFormatError("space.size must be an int")
         if not isinstance(action, list) or not all(
-            isinstance(row, list) and all(type(p) is int for p in row) for row in action
+            isinstance(row, list) and set(map(type, row)) <= {int} for row in action
         ):
             raise InstanceFormatError("space.action must be a list of lists of ints")
 
@@ -546,6 +546,7 @@ def _suite_vaught(ctx: _Ctx):
         k = u.bit_count() + 1
         stages_d = local_delta_stages(inst, a, u, v)
         stages_s = [u & ~d for d in local_delta_stages(inst, u & ~a, u, v)]
+        fixed = max(len(stages_d), len(stages_s))
         stages_d += stages_d[-1:] * (k - len(stages_d))
         stages_s += stages_s[-1:] * (k - len(stages_s))
         for i in range(len(stages_d) - 1):
@@ -557,12 +558,17 @@ def _suite_vaught(ctx: _Ctx):
         delta_of = _Memo(lambda r: delta(inst, a, r))
         star_of = _Memo(lambda r: star(inst, a, r))
         for x in bits(u):
-            rs = reach_stages(inst, x, u, v, len(stages_d))
-            for i, sd in enumerate(stages_d):
+            # past the last fixpoint of the three lists every check repeats
+            # the one before it, and a failure there would have stopped the
+            # loop at that earlier stage
+            rs = reach_stages(inst, x, u, v)
+            stop = min(k, max(fixed, len(rs)))
+            rs += rs[-1:] * (stop - len(rs))
+            for i, sd in enumerate(stages_d[:stop]):
                 if bool(sd >> x & 1) != bool(delta_of[rs[i]] >> x & 1):
                     ctx.fail("vaught", "stage-reach-delta", (n, m), A=to_list(a), x=x, stage=i + 1)
                     break
-            for i, ss in enumerate(stages_s):
+            for i, ss in enumerate(stages_s[:stop]):
                 if bool(ss >> x & 1) != bool(star_of[rs[i]] >> x & 1):
                     ctx.fail("vaught", "stage-reach-star", (n, m), A=to_list(a), x=x, stage=i + 1)
                     break

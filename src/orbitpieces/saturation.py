@@ -129,8 +129,14 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     return stages[-1] if depth is None or depth >= len(stages) else stages[depth - 1]
 
 
-def reach_stages(inst: ActionInstance, x: int, u: int, v: int, n: int) -> list[int]:
-    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n."""
+def reach_stages(inst: ActionInstance, x: int, u: int, v: int, n: int | None = None) -> list[int]:
+    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n.
+
+    With n None the list runs up to and including the first depth that adds
+    nothing (the fixpoint); every later depth equals its last entry.
+    """
+    if n is None:
+        return _stages(inst, x, u, v)[:] if u >> x & 1 else [0]
     if n < 0:
         raise ValueError("depth must be >= 0")
     if not u >> x & 1:

@@ -3,12 +3,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from orbitpieces.algebra import group_from_generators, subgroup_closure
 from orbitpieces.cli import MAX_CYCLIC_ORDER, main
-from orbitpieces.gspace import make_coset_action, make_cyclic_self, make_random, named_instance
+from orbitpieces.gspace import MAX_CELLS, make_coset_action, make_cyclic_self, make_random, named_instance
 from orbitpieces.harness import build_analysis, parse_instance, run_oracles, serialize_instance
 
 
@@ -271,6 +272,24 @@ def test_topology_listing_refuses_too_many_neighbourhoods(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "20 distinct minimal neighbourhoods" in err
+
+
+def test_validate_refuses_too_many_cells_quickly(capsys, tmp_path):
+    # S6 acting on itself: the two U-seeds close to 1,440 translates plus X,
+    # the two V-seeds to 75 conjugates plus G, so 1,441 × 76 = 109,516 cells.
+    doc = tmp_path / "s6cells.json"
+    doc.write_text(json.dumps({
+        "schema": "orbitpieces-instance/1", "name": "s6cells", "mode": "exploratory",
+        "group": {"generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]},
+        "space": "self-left-multiplication",
+        "basisU": {"seeds": [[0, 1, 2], [0, 5, 9, 33]]},
+        "basisV": {"seeds": [[0, 1], [0, 2]]},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--instance", str(doc))
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"109516 cells; at most {MAX_CELLS}" in err
 
 
 def test_openmap_output(capsys):

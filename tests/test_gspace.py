@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitpieces import gspace
 from orbitpieces.algebra import cyclic_group, symmetric_group_3
 from orbitpieces.bits import to_list, universe
 from orbitpieces.gspace import (
@@ -124,6 +125,20 @@ def test_instance_from_families_validation():
         instance_from_families(g3, 3, act3, [1, 2, 4, 3, 7], [1, 7], "strict")
     ok = instance_from_families(g3, 3, act3, [1, 2, 4, 3, 6, 5, 7], [1, 7], "strict")
     assert ok.basisU.members == (1, 2, 4, 3, 6, 5, 7)
+
+
+def test_cell_bound_counts_the_closed_families(monkeypatch):
+    # z4self closes to 5 U-members and 2 V-members: 10 cells
+    inst = named_instance("z4self")
+    seedsU, seedsV = inst.basisU.members[:1], inst.basisV.members[:1]
+    monkeypatch.setattr(gspace, "MAX_CELLS", 10)
+    built = build_instance(inst.group, 4, inst.act, seedsU, seedsV, "exploratory")
+    assert len(built.basisU) * len(built.basisV) == 10
+    monkeypatch.setattr(gspace, "MAX_CELLS", 9)
+    with pytest.raises(InstanceError, match="5 U-members and 2 V-members, 10 cells; at most 9"):
+        build_instance(inst.group, 4, inst.act, seedsU, seedsV, "exploratory")
+    # families taken verbatim are not re-closed, so not bounded
+    instance_from_families(inst.group, 4, inst.act, inst.basisU, inst.basisV, "exploratory")
 
 
 def test_make_coset_action_is_transitive():

@@ -267,6 +267,43 @@ def test_delta_star_duality_reads_the_padded_star_loop(monkeypatch):
     assert "delta-star-duality" in checks
 
 
+@pytest.mark.parametrize("target", ["delta", "reach"])
+def test_stage_reach_checks_reach_the_last_stage(monkeypatch, target):
+    # Each point's stage-reach checks stop at the last fixpoint of the delta,
+    # star and reach lists.  A wrong last entry of either list must still be
+    # checked: the delta list gets the least point of U flipped, the reach
+    # list the whole group, and no earlier entry changes.  The log must equal
+    # the one from checking every stage 1..|U|+1, got by padding each delta
+    # list past |U|+1.
+    real_stages, real_reach = harness.local_delta_stages, harness.reach_stages
+
+    def last_delta_wrong(inst, a, u, v):
+        out = real_stages(inst, a, u, v)
+        out[-1] ^= u & -u
+        return out
+
+    def last_reach_wrong(inst, x, u, v):
+        out = real_reach(inst, x, u, v)
+        out[-1] = inst.group.full
+        return out
+
+    if target == "delta":
+        monkeypatch.setattr(harness, "local_delta_stages", last_delta_wrong)
+    else:
+        monkeypatch.setattr(harness, "reach_stages", last_reach_wrong)
+    stages = harness.local_delta_stages
+
+    def every_stage(inst, a, u, v):
+        out = stages(inst, a, u, v)
+        return out + out[-1:] * (u.bit_count() + 2 - len(out))
+
+    insts = [make_random(s, strict=strict) for s in range(4) for strict in (False, True)]
+    logs = [run_oracles(inst, "vaught") for inst in insts]
+    assert "stage-reach-delta" in {e["check"] for log in logs for e in log}
+    monkeypatch.setattr(harness, "local_delta_stages", every_stage)
+    assert logs == [run_oracles(inst, "vaught") for inst in insts]
+
+
 # str with every code point json escapes differently: quotes, backslashes,
 # control characters, non-ASCII, astral and lone surrogates ("Cs")
 _json_text = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(

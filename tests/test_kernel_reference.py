@@ -29,18 +29,35 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitpieces import saturation
+from orbitpieces.algebra import (
+    Group,
+    GroupError,
+    _inverses,
+    close_family,
+    conjugate,
+    generating_set,
+    group_from_generators,
+    group_from_table,
+    subgroup_closure,
+)
 from orbitpieces.bits import bits, to_list
 from orbitpieces.cli import main
 from orbitpieces.gspace import (
     NAMED_INSTANCES,
+    InstanceError,
+    _translates,
+    _validate_action,
+    make_coset_action,
     make_cyclic_self,
     make_random,
     named_instance,
+    orbit,
     translate_set,
 )
 from orbitpieces.saturation import (
@@ -62,6 +79,7 @@ from orbitpieces.transforms import (
     local_star_n,
     star,
 )
+from test_scott_reference import _wide_corpus
 
 INSTANCES = (
     [named_instance(k) for k in NAMED_INSTANCES]
@@ -259,12 +277,19 @@ def _check_cell(inst, rng, u, v):
         for depth, w in zip([*range(k + 2), None], want):
             assert reach_sets(inst, x, u, v, depth) == w, (inst.name, x, depth)
         assert reach_stages(inst, x, u, v, k + 1) == want[1:k + 2]
+        # with no depth the list ends at the first depth that adds nothing
+        fixed = reach_stages(inst, x, u, v)
+        f = len(fixed)
+        assert fixed == [ref_reach_sets(inst, x, u, v, d) for d in range(1, f + 1)]
+        assert fixed[-1] == want[-1] and (f == 1 or fixed[-1] == fixed[-2])
+        assert all(fixed[i] != fixed[i + 1] for i in range(f - 2))
     if outside:
         x = rng.choice(outside)
         assert local_orbit(inst, x, u, v) == 0
         for depth in [*range(k + 2), None]:
             assert reach_sets(inst, x, u, v, depth) == 0
         assert reach_stages(inst, x, u, v, k + 1) == [0] * (k + 1)
+        assert reach_stages(inst, x, u, v) == [0]
 
 
 def _check_stage_lists(inst, a, u, v, stage_d, stage_s):
@@ -383,3 +408,255 @@ def test_a_lopsided_neighbourhood_is_read_through_its_inverse():
     # star keeps a point only while every V-step stays in the set or leaves U
     assert local_star_n(inst, 0b00011, u, v, 1) == 0b00001
     assert local_star_n(inst, 0b01100, u, v, 10**9) == 0b01100
+
+
+# ---------------------------------------------------------------------------
+# instance construction: one expansion per G-orbit, whole-row table checks
+
+
+def ref_close_family(seeds, images, full):
+    """Every member expanded under ``images``, in first-seen order."""
+    ordered, seen = [], {full}
+    for m in seeds:
+        if m not in seen:
+            seen.add(m)
+            ordered.append(m)
+    i = 0
+    while i < len(ordered):
+        for m in images(ordered[i]):
+            if m not in seen:
+                seen.add(m)
+                ordered.append(m)
+        i += 1
+    return tuple(ordered) + (full,)
+
+
+def ref_orbit(inst, x):
+    m = 0
+    for g in range(inst.group.order):
+        m |= 1 << inst.act[g][x]
+    return m
+
+
+def ref_group_from_table(mul_rows, name="G"):
+    """Per-entry range checks, Light's test over every (a, b, c), and the
+    first two-sided inverse by a linear search."""
+    mul = [list(row) for row in mul_rows]
+    n = len(mul)
+    if n == 0:
+        raise GroupError("empty multiplication table")
+    for g, row in enumerate(mul):
+        if len(row) != n:
+            raise GroupError(f"row {g} has length {len(row)}, expected {n}")
+        for v in row:
+            if type(v) is not int or not 0 <= v < n:
+                raise GroupError(f"entry {v!r} in row {g} out of range")
+    e = next((e for e in range(n) if all(mul[e][h] == h and mul[h][e] == h for h in range(n))), None)
+    if e is None:
+        raise GroupError("no identity element")
+    if e != 0:
+        p = list(range(n))
+        p[0], p[e] = e, 0
+        new = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                new[p[a]][p[b]] = p[mul[a][b]]
+        mul = new
+    gens = generating_set(mul)
+    for a in range(n):
+        for b in range(n):
+            for c in gens:
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise GroupError(f"associativity fails at ({a},{b},{c})")
+    return tuple(tuple(r) for r in mul), tuple(ref_inverses(mul))
+
+
+def ref_inverses(mul):
+    inv = []
+    for g in range(len(mul)):
+        for h in range(len(mul)):
+            if mul[g][h] == 0 and mul[h][g] == 0:
+                inv.append(h)
+                break
+        else:
+            raise GroupError(f"element {g} has no inverse")
+    return inv
+
+
+def ref_validate_action(group, size, act):
+    """The action law checked one point at a time."""
+    if size < 1:
+        raise InstanceError("space must have at least one point")
+    rows = [tuple(r) for r in act]
+    if len(rows) != group.order:
+        raise InstanceError(f"action table has {len(rows)} rows, expected {group.order}")
+    for g, row in enumerate(rows):
+        if len(row) != size or sorted(row) != list(range(size)):
+            raise InstanceError(f"action row for element {g} is not a permutation")
+    if rows[0] != tuple(range(size)):
+        raise InstanceError("identity element does not act as the identity map")
+    for g in generating_set(group.mul):
+        for h in range(group.order):
+            gh = group.mul[g][h]
+            for x in range(size):
+                if rows[g][rows[h][x]] != rows[gh][x]:
+                    raise InstanceError(
+                        f"action is not compatible with the group at (g={g}, h={h}, x={x})"
+                    )
+    return tuple(rows)
+
+
+def _s5_cosets():
+    # elements 1 and 2 of S5 are the generating transposition and 5-cycle
+    s5 = group_from_generators([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], name="S5")
+    for elem, size in ((2, 24), (1, 60)):
+        inst = make_coset_action(s5, subgroup_closure(1 << elem, s5), name=f"s5c{size}")
+        assert inst.size == size
+        yield inst
+
+
+CONSTRUCTED = INSTANCES + [inst for _, inst in _wide_corpus()] + list(_s5_cosets())
+
+
+def _outcome(fn, *args):
+    """The result of ``fn``, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (GroupError, InstanceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _conjugates(group):
+    return lambda v: (conjugate(v, h, group) for h in range(group.order))
+
+
+def test_families_close_in_the_reference_order():
+    # Seeds are drawn from each closed family in random order, with repeats
+    # and the full set among them; the member order must match the full scan.
+    rng = random.Random("close-family")
+    for inst in CONSTRUCTED:
+        for family, images, full in (
+            (inst.basisU.members, _translates(inst.act), inst.full_points),
+            (inst.basisV.members, _conjugates(inst.group), inst.group.full),
+        ):
+            assert close_family(family[:-1], images, full).members == family, inst.name
+            for _ in range(4):
+                seeds = rng.choices(family, k=rng.randint(0, 4))
+                got = close_family(seeds, images, full).members
+                assert got == ref_close_family(seeds, images, full), (inst.name, seeds)
+
+
+def test_images_are_taken_once_per_orbit():
+    # close_family expands the first member of each orbit and no other
+    for inst in CONSTRUCTED:
+        for family, images, full in (
+            (inst.basisU.members, _translates(inst.act), inst.full_points),
+            (inst.basisV.members, _conjugates(inst.group), inst.group.full),
+        ):
+            calls = []
+
+            def counted(m, images=images):
+                calls.append(m)
+                return images(m)
+
+            seeds = list(family[:-1])
+            close_family(seeds, counted, full)
+            orbits = [frozenset(images(m)) for m in calls]
+            assert len(set(orbits)) == len(calls), inst.name
+            assert set(orbits) == {frozenset(images(m)) for m in seeds}, inst.name
+
+
+def test_orbit_table_matches_the_per_point_scan():
+    for inst in CONSTRUCTED:
+        want = tuple(ref_orbit(inst, x) for x in range(inst.size))
+        assert inst.orbits == want, inst.name
+        assert all(orbit(inst, x) == want[x] for x in range(inst.size)), inst.name
+
+
+def test_table_and_action_checks_match_the_references():
+    for inst in CONSTRUCTED:
+        group = inst.group
+        got = group_from_table(group.mul)
+        assert (got.mul, got.inv) == ref_group_from_table(group.mul), inst.name
+        assert _validate_action(group, inst.size, inst.act) == ref_validate_action(
+            group, inst.size, inst.act), inst.name
+
+
+def _small_groups():
+    seen = set()
+    for inst in INSTANCES:
+        if inst.group.mul not in seen:
+            seen.add(inst.group.mul)
+            yield inst
+
+
+def test_corrupted_tables_and_actions_fail_with_the_reference_text():
+    # Seeded single-entry corruptions of every small group table and action
+    # in the corpus, and swaps inside one action row (which keep the row a
+    # permutation, so the action law decides them).
+    rng = random.Random("corruptions")
+    kinds = set()
+    for inst in _small_groups():
+        n, size = inst.group.order, inst.size
+        for _ in range(60):
+            mul = [list(row) for row in inst.group.mul]
+            a, b = rng.randrange(n), rng.randrange(n)
+            mul[a][b] = rng.randrange(n)
+            want = _outcome(ref_group_from_table, mul)
+            got = _outcome(group_from_table, mul)
+            if isinstance(got, Group):
+                got = got.mul, got.inv
+            assert got == want, (inst.name, a, b)
+            act = [list(row) for row in inst.act]
+            g, x, y = rng.randrange(n), rng.randrange(size), rng.randrange(size)
+            if rng.random() < 0.5:
+                act[g][x] = y
+            else:
+                act[g][x], act[g][y] = act[g][y], act[g][x]
+            want_act = _outcome(ref_validate_action, inst.group, size, act)
+            assert _outcome(_validate_action, inst.group, size, act) == want_act, (inst.name, g, x)
+            kinds |= {re.sub(r"\d+", "N", w[1]) for w in (want, want_act) if isinstance(w[0], str)}
+    assert kinds >= {
+        "associativity fails at (N,N,N)",
+        "no identity element",
+        "action row for element N is not a permutation",
+        "action is not compatible with the group at (g=N, h=N, x=N)",
+    }
+
+
+def _loops(order, count, rng):
+    """Random Latin squares with identity 0 (loops), by randomised backtracking."""
+    out = []
+    while len(out) < count:
+        sq = [list(range(order))] + [[r] + [None] * (order - 1) for r in range(1, order)]
+
+        def fill(k):
+            if k == order * order:
+                return True
+            r, c = divmod(k, order)
+            if sq[r][c] is not None:
+                return fill(k + 1)
+            used = set(sq[r]) | {sq[i][c] for i in range(order)}
+            for v in rng.sample(range(order), order):
+                if v not in used:
+                    sq[r][c] = v
+                    if fill(k + 1):
+                        return True
+            sq[r][c] = None
+            return False
+
+        if fill(0):
+            out.append(sq)
+    return out
+
+
+def test_inverses_match_the_two_sided_search_on_loops():
+    # In a loop every row holds 0 once, but a left inverse need not be a
+    # right inverse, so the two-sided condition decides.
+    rng = random.Random("loops")
+    one_sided = 0
+    for sq in _loops(5, 40, rng):
+        want = _outcome(ref_inverses, sq)
+        assert _outcome(_inverses, sq) == want, sq
+        one_sided += isinstance(want[0], str)
+    assert one_sided
