@@ -15,6 +15,7 @@ middle of the list and appended last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 from .bits import bits, to_list, universe
@@ -55,14 +56,17 @@ def _validate_table(mul: list[list[int]]) -> None:
     n = len(mul)
     if n == 0:
         raise GroupError("empty multiplication table")
+    # the whole table at once; a bad table is rescanned row by row for the
+    # first bad length or entry
+    if (set(map(len, mul)) == {n} and set(map(type, chain.from_iterable(mul))) == {int}
+            and 0 <= min(chain.from_iterable(mul)) and max(chain.from_iterable(mul)) < n):
+        return
     for g, row in enumerate(mul):
         if len(row) != n:
             raise GroupError(f"row {g} has length {len(row)}, expected {n}")
-        # whole-row test first; a bad row is rescanned for its first bad entry
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-            for v in row:
-                if type(v) is not int or not 0 <= v < n:
-                    raise GroupError(f"entry {v!r} in row {g} out of range")
+        for v in row:
+            if type(v) is not int or not 0 <= v < n:
+                raise GroupError(f"entry {v!r} in row {g} out of range")
 
 
 def _find_identity(mul: list[list[int]]) -> int:
@@ -153,17 +157,15 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
                 new[p[a]][p[b]] = p[mul[a][b]]
         mul = new
     gens = generating_set(mul)
-    # n = 1 would make itemgetter return a scalar; the identity row is trivially associative
-    if n > 1:
-        cols = [[row[c] for row in mul] for c in gens]
-        read_cols = [itemgetter(*col) for col in cols]
-        for a, row_a in enumerate(mul):
-            read_a = itemgetter(*row_a)
-            for col, read_col in zip(cols, read_cols):
-                if read_a(col) != read_col(row_a):
-                    b, c = next((b, c) for b in range(n) for c in gens
-                                if mul[row_a[b]][c] != row_a[mul[b][c]])
-                    raise GroupError(f"associativity fails at ({a},{b},{c})")
+    cols = [[row[c] for row in mul] for c in gens]  # none when n = 1
+    read_cols = [itemgetter(*col) for col in cols]
+    for a, row_a in enumerate(mul):
+        read_a = itemgetter(*row_a)
+        for col, read_col in zip(cols, read_cols):
+            if read_a(col) != read_col(row_a):
+                b, c = next((b, c) for b in range(n) for c in gens
+                            if mul[row_a[b]][c] != row_a[mul[b][c]])
+                raise GroupError(f"associativity fails at ({a},{b},{c})")
     return Group(tuple(tuple(r) for r in mul), tuple(_inverses(mul)), name)
 
 

@@ -519,11 +519,13 @@ CONSTRUCTED = INSTANCES + [inst for _, inst in _wide_corpus()] + list(_s5_cosets
 
 
 def _outcome(fn, *args):
-    """The result of ``fn``, or the type and text of the error it raised."""
+    """The result of ``fn`` (a group as its tables), or the type and text of
+    the error it raised."""
     try:
-        return fn(*args)
+        got = fn(*args)
     except (GroupError, InstanceError) as exc:
         return type(exc).__name__, str(exc)
+    return (got.mul, got.inv) if isinstance(got, Group) else got
 
 
 def _conjugates(group):
@@ -603,10 +605,7 @@ def test_corrupted_tables_and_actions_fail_with_the_reference_text():
             a, b = rng.randrange(n), rng.randrange(n)
             mul[a][b] = rng.randrange(n)
             want = _outcome(ref_group_from_table, mul)
-            got = _outcome(group_from_table, mul)
-            if isinstance(got, Group):
-                got = got.mul, got.inv
-            assert got == want, (inst.name, a, b)
+            assert _outcome(group_from_table, mul) == want, (inst.name, a, b)
             act = [list(row) for row in inst.act]
             g, x, y = rng.randrange(n), rng.randrange(size), rng.randrange(size)
             if rng.random() < 0.5:
@@ -622,6 +621,24 @@ def test_corrupted_tables_and_actions_fail_with_the_reference_text():
         "action row for element N is not a permutation",
         "action is not compatible with the group at (g=N, h=N, x=N)",
     }
+
+
+def test_malformed_tables_fail_with_the_reference_text():
+    # One or two faults per table, a bad entry or a bad row length, so that
+    # the error must name the first fault in row order.
+    rng = random.Random("malformed")
+    for inst in _small_groups():
+        n = inst.group.order
+        for _ in range(40):
+            mul = [list(row) for row in inst.group.mul]
+            for _ in range(rng.randint(1, 2)):
+                g = rng.randrange(n)
+                if rng.random() < 0.3:
+                    mul[g] = mul[g][:-1] if rng.random() < 0.5 else mul[g] + [0]
+                else:
+                    bad = rng.choice([-1, -n, n, n + 3, True, 1.0, "1", None])
+                    mul[g][rng.randrange(len(mul[g]))] = bad
+            assert _outcome(group_from_table, mul) == _outcome(ref_group_from_table, mul), mul
 
 
 def _loops(order, count, rng):
