@@ -15,7 +15,6 @@ middle of the list and appended last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 
 from .bits import bits, to_list, universe
@@ -56,11 +55,6 @@ def _validate_table(mul: list[list[int]]) -> None:
     n = len(mul)
     if n == 0:
         raise GroupError("empty multiplication table")
-    # the whole table at once; a bad table is rescanned row by row for the
-    # first bad length or entry
-    if (set(map(len, mul)) == {n} and set(map(type, chain.from_iterable(mul))) == {int}
-            and 0 <= min(chain.from_iterable(mul)) and max(chain.from_iterable(mul)) < n):
-        return
     for g, row in enumerate(mul):
         if len(row) != n:
             raise GroupError(f"row {g} has length {len(row)}, expected {n}")
@@ -157,11 +151,11 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
                 new[p[a]][p[b]] = p[mul[a][b]]
         mul = new
     gens = generating_set(mul)
-    cols = [[row[c] for row in mul] for c in gens]  # none when n = 1
-    read_cols = [itemgetter(*col) for col in cols]
+    # col_c and its reader per generator; none when n = 1
+    cols = [(col, itemgetter(*col)) for col in ([row[c] for row in mul] for c in gens)]
     for a, row_a in enumerate(mul):
         read_a = itemgetter(*row_a)
-        for col, read_col in zip(cols, read_cols):
+        for col, read_col in cols:
             if read_a(col) != read_col(row_a):
                 b, c = next((b, c) for b in range(n) for c in gens
                             if mul[row_a[b]][c] != row_a[mul[b][c]])
