@@ -17,8 +17,9 @@ Modes:
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .algebra import (
@@ -325,17 +326,18 @@ def make_product(a: ActionInstance, b: ActionInstance, name: str = "") -> Action
     return build_instance(g, size, act, seedsU, seedsV, mode, name or f"{a.name}*{b.name}")
 
 
-def _group_catalogue(max_order: int) -> list[Group]:
-    groups: list[Group] = [cyclic_group(n) for n in range(2, max_order + 1)]
-    z2 = cyclic_group(2)
+def _group_catalogue(max_order: int) -> list[Callable[[], Group]]:
+    """Builders of the groups ``make_random`` draws from, so that only the
+    drawn one is built."""
+    builders = [partial(cyclic_group, n) for n in range(2, max_order + 1)]
     if max_order >= 4:
-        groups.append(direct_product(z2, z2))
+        builders.append(lambda: direct_product(cyclic_group(2), cyclic_group(2)))
     if max_order >= 6:
-        groups.append(symmetric_group_3())
+        builders.append(symmetric_group_3)
     if max_order >= 8:
-        groups.append(direct_product(z2, cyclic_group(4)))
-        groups.append(dihedral_group(4))
-    return groups
+        builders.append(lambda: direct_product(cyclic_group(2), cyclic_group(4)))
+        builders.append(partial(dihedral_group, 4))
+    return builders
 
 
 def make_random(
@@ -354,7 +356,7 @@ def make_random(
     re-drawn deterministically until the closed families fit the caps.
     """
     rng = random.Random(f"orbitpieces:{seed}:{int(strict)}")
-    group = rng.choice(_group_catalogue(max_group))
+    group = rng.choice(_group_catalogue(max_group))()
     order = group.order
     subgroups = all_subgroups(group)
     if strict and max_points > 8:

@@ -182,7 +182,7 @@ def _scan_subgroups(g):
 
 
 def _small_groups():
-    yield from _group_catalogue(16)
+    yield from (build() for build in _group_catalogue(16))
     yield dihedral_group(8)
     yield direct_product(cyclic_group(2), cyclic_group(8))
 

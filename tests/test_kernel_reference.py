@@ -23,6 +23,10 @@ index past the fixpoint, must agree with ``ref_local_delta_n`` and
 of reach stages per (x, U, V).  On fresh instances they are called at
 shuffled depths, the full set first or last, so that a memo shaped by the
 depth of the call that filled it shows against ``ref_reach_sets``.
+
+``subgroup_closure`` and ``all_subgroups`` share one breadth-first closure
+under right multiplication; ``ref_subgroup_closure`` is the earlier loop over
+every pair of the current set in every round.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from orbitpieces.cli import main
 from orbitpieces.gspace import (
     NAMED_INSTANCES,
     InstanceError,
+    _group_catalogue,
     _translates,
     _validate_action,
     make_coset_action,
@@ -677,3 +682,40 @@ def test_inverses_match_the_two_sided_search_on_loops():
         assert _outcome(_inverses, sq) == want, sq
         one_sided += isinstance(want[0], str)
     assert one_sided
+
+
+# ---------------------------------------------------------------------------
+# subgroup closure: one breadth-first routine under right multiplication
+
+
+def ref_subgroup_closure(seed, g):
+    """Each round adds every inverse and every product of two members."""
+    cur = seed | 1
+    while True:
+        nxt = cur
+        for a in bits(cur):
+            nxt |= 1 << g.inv[a]
+            row = g.mul[a]
+            for b in bits(cur):
+                nxt |= 1 << row[b]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _symmetric_group(n):
+    return group_from_generators([(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)], f"S{n}")
+
+
+def test_subgroup_closure_matches_the_pairwise_reference():
+    # every element and every pair in the small groups, seeded pairs in S5, S6
+    for g in [build() for build in _group_catalogue(16)] + [_symmetric_group(4)]:
+        for a in range(g.order):
+            for b in range(a, g.order):
+                seed = 1 << a | 1 << b
+                assert subgroup_closure(seed, g) == ref_subgroup_closure(seed, g), (g.name, a, b)
+    rng = random.Random("subgroup-closure")
+    for g, pairs in ((_symmetric_group(5), 40), (_symmetric_group(6), 4)):
+        for _ in range(pairs):
+            seed = 1 << rng.randrange(g.order) | 1 << rng.randrange(g.order)
+            assert subgroup_closure(seed, g) == ref_subgroup_closure(seed, g), (g.name, seed)

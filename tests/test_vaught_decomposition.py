@@ -17,7 +17,7 @@ from orbitpieces import harness
 from orbitpieces.algebra import cyclic_group, group_from_generators
 from orbitpieces.bits import bits, is_subset, mask_of, to_list
 from orbitpieces.gspace import build_instance, make_coset_action, make_random
-from orbitpieces.saturation import cached_reach
+from orbitpieces.saturation import act_image, cached_reach
 from orbitpieces.transforms import delta, star
 
 from test_acceptance import GOLDEN
@@ -59,7 +59,7 @@ def _ref_decomposition(inst, a: int, x: int, translates) -> tuple[bool, bool]:
 
 
 def _law(inst, a: int, x: int, u: int, v: int) -> tuple[bool, bool]:
-    img = harness._reach_image(inst, x, u, v)
+    img = act_image(inst, 1 << x, cached_reach(inst, x, u, v))
     return bool(img & a), not img & ~a
 
 
