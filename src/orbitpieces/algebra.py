@@ -163,14 +163,14 @@ def group_from_table(mul_rows, name: str = "G") -> Group:
     return Group(tuple(tuple(r) for r in mul), tuple(_inverses(mul)), name)
 
 
-# `group_from_generators` refuses larger groups by default: the table has
-# |G|² entries.  Timed through `orbitpieces validate` on the regular action,
+# `group_from_generators` refuses larger groups, reading this at call time:
+# the table has |G|² entries.  Timed through `orbitpieces validate` on the regular action,
 # 2-core VM: S6 (720) 0.8 s and 32 MB, Z2×S6 (1,440) 3.2 s and 70 MB, A7 (2,520)
 # 19.5 s and 168 MB; S7 (5,040) would build a 25-million-entry table.
 MAX_GENERATED_ORDER = 1440
 
 
-def group_from_generators(generators, name: str = "G", max_order: int = MAX_GENERATED_ORDER) -> Group:
+def group_from_generators(generators, name: str = "G") -> Group:
     """The permutation group generated by the given permutations.
 
     Elements are enumerated breadth-first from the identity, so the identity
@@ -200,9 +200,9 @@ def group_from_generators(generators, name: str = "G", max_order: int = MAX_GENE
                 j = index[q] = len(elems)
                 elems.append(q)
                 parents.append((i, p))
-                if len(elems) > max_order:
+                if len(elems) > MAX_GENERATED_ORDER:
                     raise GroupError(
-                        f"generated group exceeds the size cap of {max_order} elements"
+                        f"generated group exceeds the size cap of {MAX_GENERATED_ORDER} elements"
                     )
             left[i].append(j)
     mul = [list(range(len(elems)))]
@@ -210,17 +210,6 @@ def group_from_generators(generators, name: str = "G", max_order: int = MAX_GENE
         row = left[i]
         mul.append([row[c] for c in mul[p]])
     return group_from_table(mul, name)
-
-
-def build_group(spec, name: str = "G") -> Group:
-    """Dispatch on a group description: {"mul": table} or {"generators": perms}."""
-    if isinstance(spec, dict):
-        if "mul" in spec:
-            return group_from_table(spec["mul"], name)
-        if "generators" in spec:
-            return group_from_generators(spec["generators"], name)
-        raise GroupError("group spec needs 'mul' or 'generators'")
-    return group_from_table(spec, name)
 
 
 # ---------------------------------------------------------------------------

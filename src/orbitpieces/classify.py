@@ -25,6 +25,11 @@ from .saturation import orbit_partition, point_images
 from .scott import STABLE, PieceTable, piece, scott_rank
 from .topology import open_map_check
 
+# The orbit unions `invariant_containment_check` tries per cell: a cell with
+# |U| ≤ 12 and at most this many is exhausted, a larger one gets this many
+# seeded draws.  Read at call time; the report prints it as "budget".
+BUDGET = 4096
+
 
 def eventual_openness(inst: ActionInstance):
     """The per-(x, V) witness table and the global verdict.
@@ -65,7 +70,6 @@ def invariant_containment_check(
     inst: ActionInstance,
     table: PieceTable,
     alpha: int = 1,
-    budget: int = 4096,
     seed: int = 0,
 ) -> dict:
     """Check x ∈ A ⇒ piece(x) ⊆ A over locally invariant sets A, per cell.
@@ -74,12 +78,13 @@ def invariant_containment_check(
     joined with arbitrary subsets of X∖U; the verdict only depends on A∩U
     (pieces live inside U), so the enumeration ranges over orbit unions and
     witnesses are recorded padding-free.  Cells with |U| ≤ 12 and at most
-    ``budget`` orbit unions are exhausted; larger cells fall back to seeded
-    sampling within the budget.  The first violation per cell is recorded.
+    ``BUDGET`` orbit unions are exhausted; larger cells fall back to
+    ``BUDGET`` seeded draws.  The first violation per cell is recorded.
     The engine labels each distinct orbit once per level, so a piece is a
     union of whole orbits; a cell with as many blocks as orbits has one orbit
     per piece, cannot fail, and is counted as checked without enumeration.
     """
+    budget = BUDGET
     lvl = table.resolve_level(alpha)
     violations: list[dict] = []
     checked = 0
@@ -106,7 +111,7 @@ def invariant_containment_check(
         small = u.bit_count() <= 12 and (1 << k) <= budget
         exhaustive = exhaustive and small
         if len(blocks) == k:
-            checked += (1 << k) - 1 if small else max(budget, 0)
+            checked += (1 << k) - 1 if small else budget
             continue
         if small:
             counters = range(1, 1 << k)
@@ -143,7 +148,6 @@ _CONDITION_KEYS = (
 def classification_report(
     inst: ActionInstance,
     table: PieceTable,
-    budget: int = 4096,
     seed: int = 0,
 ) -> dict:
     """Assemble the full classification report (JSON-ready dict).
@@ -157,7 +161,7 @@ def classification_report(
     top_u = len(inst.basisU) - 1
     top_v = len(inst.basisV) - 1
     ev_verdict, witnesses = eventual_openness(inst)
-    inv = invariant_containment_check(inst, table, 1, budget, seed)
+    inv = invariant_containment_check(inst, table, 1, seed)
 
     points = []
     flags: list[str] = []

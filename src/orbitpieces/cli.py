@@ -299,7 +299,6 @@ def _cmd_openmap(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = _instance(args)
-    table = analyze(inst)
     if args.kind == "eventual-openness":
         verdict, witnesses = eventual_openness(inst)
         payload = {"eventually_open": verdict, "witnesses": witnesses}
@@ -310,7 +309,7 @@ def _cmd_check(args) -> int:
                     lines.append(f"x={x} v={v_idx} witness none")
         _emit(args, payload, lines)
         return 0
-    report = classification_report(inst, table, seed=args.seed)
+    report = classification_report(inst, analyze(inst), seed=args.seed)
     payload = report
     lines = [f"mode {report['mode']}"]
     for key, value in sorted(report["conditions"].items()):

@@ -226,38 +226,38 @@ def instance_from_families(
 # templates
 
 
-def make_cyclic_self(n: int, name: str = "") -> ActionInstance:
+def make_cyclic_self(n: int) -> ActionInstance:
     """Z/n acting on itself by addition, with the standard small seeds."""
     g = cyclic_group(n)
     act = [[(i + x) % n for x in range(n)] for i in range(n)]
     seedsU = [mask_of([0, 1 % n])]
     seedsV = [symmetric_closure(1 << (1 % n), g)]
-    return build_instance(g, n, act, seedsU, seedsV, "exploratory", name or f"z{n}self")
+    return build_instance(g, n, act, seedsU, seedsV, "exploratory", f"z{n}self")
 
 
-def make_swap_fix(name: str = "swapfix") -> ActionInstance:
+def make_swap_fix() -> ActionInstance:
     """Z/2 on four points swapping 0 and 1 and fixing 2, 3; strict families."""
     g = cyclic_group(2)
     act = [[0, 1, 2, 3], [1, 0, 2, 3]]
     seedsU = [1 << x for x in range(4)]
     seedsV = [1, 3]
-    return build_instance(g, 4, act, seedsU, seedsV, "strict", name)
+    return build_instance(g, 4, act, seedsU, seedsV, "strict", "swapfix")
 
 
-def make_z4_coarse(name: str = "z4coarse") -> ActionInstance:
+def make_z4_coarse() -> ActionInstance:
     """Z/4 self-action with the coarsest U-family {X} and V = {{0,1,3}, G}."""
     g = cyclic_group(4)
     act = [[(i + x) % 4 for x in range(4)] for i in range(4)]
-    return build_instance(g, 4, act, [], [symmetric_closure(1 << 1, g)], "exploratory", name)
+    return build_instance(g, 4, act, [], [symmetric_closure(1 << 1, g)], "exploratory", "z4coarse")
 
 
-def make_z4_pairs(name: str = "z4pairs") -> ActionInstance:
+def make_z4_pairs() -> ActionInstance:
     """Z/4 self-action with paired U-seeds {0,1},{2,3} and V-seed {2}."""
     g = cyclic_group(4)
     act = [[(i + x) % 4 for x in range(4)] for i in range(4)]
     seedsU = [mask_of([0, 1]), mask_of([2, 3])]
     seedsV = [1 << 2]
-    return build_instance(g, 4, act, seedsU, seedsV, "exploratory", name)
+    return build_instance(g, 4, act, seedsU, seedsV, "exploratory", "z4pairs")
 
 
 def make_coset_action(
@@ -294,7 +294,7 @@ def make_coset_action(
     return build_instance(group, size, act, seedsU, seedsV, mode, name)
 
 
-def make_product(a: ActionInstance, b: ActionInstance, name: str = "") -> ActionInstance:
+def make_product(a: ActionInstance, b: ActionInstance) -> ActionInstance:
     """Direct-product group acting on the disjoint union of the point sets.
 
     U-seeds are the embedded members of both U-families; V-seeds are the
@@ -323,7 +323,7 @@ def make_product(a: ActionInstance, b: ActionInstance, name: str = "") -> Action
                     m |= 1 << (i * nb + j)
             seedsV.append(m)
     mode = "strict" if a.mode == "strict" and b.mode == "strict" else "exploratory"
-    return build_instance(g, size, act, seedsU, seedsV, mode, name or f"{a.name}*{b.name}")
+    return build_instance(g, size, act, seedsU, seedsV, mode, f"{a.name}*{b.name}")
 
 
 def _group_catalogue(max_order: int) -> list[Callable[[], Group]]:
@@ -340,29 +340,22 @@ def _group_catalogue(max_order: int) -> list[Callable[[], Group]]:
     return builders
 
 
-def make_random(
-    seed: int,
-    max_group: int = 8,
-    max_points: int = 12,
-    max_u: int = 24,
-    max_v: int = 6,
-    strict: bool = False,
-    name: str = "",
-) -> ActionInstance:
-    """A deterministic pseudo-random instance within the given bounds.
+def make_random(seed: int, strict: bool = False) -> ActionInstance:
+    """A deterministic pseudo-random instance, named ``random{seed}`` or
+    ``strict{seed}``.
 
-    The space is a disjoint union of coset actions (subgroups drawn at
-    random, so fixed points and regular blocks both occur).  Seeds are
-    re-drawn deterministically until the closed families fit the caps.
+    The group has order at most 8 and the space 2-12 points (2-8 when
+    strict): a disjoint union of coset actions (subgroups drawn at random,
+    so fixed points and regular blocks both occur).  Seeds are dropped
+    deterministically until the closed families have at most 24 U-members
+    and 6 V-members.
     """
     rng = random.Random(f"orbitpieces:{seed}:{int(strict)}")
-    group = rng.choice(_group_catalogue(max_group))()
+    group = rng.choice(_group_catalogue(8))()
     order = group.order
     subgroups = all_subgroups(group)
-    if strict and max_points > 8:
-        max_points = 8
 
-    target = rng.randint(2, max_points)
+    target = rng.randint(2, 8 if strict else 12)
     blocks: list[list[list[int]]] = []
     size = 0
     while size < target:
@@ -397,13 +390,13 @@ def make_random(
         if rng.random() < 0.4:
             extra = random_point_set(max(2, size // 2))
             trial = close_family(seedsU + [extra], _translates(act), full)
-            if len(trial) <= max_u:
+            if len(trial) <= 24:
                 seedsU.append(extra)
         seedsV = [1]
         if rng.random() < 0.5:
             extra_v = symmetric_closure(mask_of(rng.sample(range(order), 1)), group)
             trial_v = close_neighborhood_family(seedsV + [extra_v], group)
-            if len(trial_v) <= max_v:
+            if len(trial_v) <= 6:
                 seedsV.append(extra_v)
         mode = "strict"
     else:
@@ -412,7 +405,7 @@ def make_random(
             seedsU.append(random_point_set(max(2, size // 2)))
         while True:
             trial = close_family(seedsU, _translates(act), full)
-            if len(trial) <= max_u or not seedsU:
+            if len(trial) <= 24 or not seedsU:
                 break
             seedsU.pop()
         seedsV = []
@@ -420,19 +413,19 @@ def make_random(
             seedsV.append(symmetric_closure(mask_of(rng.sample(range(order), rng.randint(1, 2))), group))
         while True:
             trial_v = close_neighborhood_family(seedsV, group)
-            if len(trial_v) <= max_v or not seedsV:
+            if len(trial_v) <= 6 or not seedsV:
                 break
             seedsV.pop()
         mode = "exploratory"
 
-    label = name or (f"strict{seed}" if strict else f"random{seed}")
+    label = f"strict{seed}" if strict else f"random{seed}"
     return build_instance(group, size, act, seedsU, seedsV, mode, label)
 
 
 def named_instance(key: str) -> ActionInstance:
     """The four built-in instances used throughout the docs and tests."""
     builders = {
-        "z4self": lambda: make_cyclic_self(4, "z4self"),
+        "z4self": partial(make_cyclic_self, 4),
         "swapfix": make_swap_fix,
         "z4coarse": make_z4_coarse,
         "z4pairs": make_z4_pairs,

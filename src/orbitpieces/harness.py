@@ -1099,8 +1099,8 @@ def run_oracles(
 
 def _signature_entry(sig) -> dict:
     if sig.level == 1:
-        return {"level": 1, "entries": list(sig.canonical())}
-    return {"level": sig.level, "entries": [list(t) for t in sig.canonical()]}
+        return {"level": 1, "entries": list(sig.entries)}
+    return {"level": sig.level, "entries": [list(t) for t in sig.entries]}
 
 
 def build_analysis(

@@ -73,13 +73,22 @@ def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
 
 def _reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
     """⟨V⟩ˣ_U at depths 1, 2, ... for x ∈ U, up to and including the first
-    depth that adds nothing (the fixpoint)."""
+    depth that adds nothing (the fixpoint).
+
+    Once a stage is the whole group no product can add to it, so the next
+    stage is the fixpoint and is appended without expanding it: with V = G
+    that round would be |G|² products for nothing.
+    """
     rows = [inst.group.mul[g] for g in to_list(v)]
     act = inst.act
+    full = inst.group.full
     cur = 1  # {identity}
     new = [0]
     out = []
     while new:  # no new elements: fixed
+        if cur == full:
+            out.append(cur)
+            break
         added = []
         for h in new:
             for row in rows:
@@ -129,20 +138,12 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     return stages[-1] if depth is None or depth >= len(stages) else stages[depth - 1]
 
 
-def reach_stages(inst: ActionInstance, x: int, u: int, v: int, n: int | None = None) -> list[int]:
-    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1..n.
-
-    With n None the list runs up to and including the first depth that adds
-    nothing (the fixpoint); every later depth equals its last entry.
+def reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
+    """The list of ``reach_sets(inst, x, u, v, d)`` for d = 1, 2, ..., up to
+    and including the first depth that adds nothing (the fixpoint); every
+    later depth equals its last entry.
     """
-    if n is None:
-        return _stages(inst, x, u, v)[:] if u >> x & 1 else [0]
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    if not u >> x & 1:
-        return [0] * n
-    out = _stages(inst, x, u, v)[:n]
-    return out + out[-1:] * (n - len(out))
+    return _stages(inst, x, u, v)[:] if u >> x & 1 else [0]
 
 
 def reach_common(inst: ActionInstance, a: int, u: int, v: int) -> int:

@@ -56,6 +56,7 @@ class Signature:
     entries: tuple
 
     def canonical(self) -> tuple:
+        # an alias of ``entries``: only perfbench/workloads.py::query_text calls it
         return self.entries
 
 
@@ -172,7 +173,7 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
     """Run the refinement to its fixpoint and return the full piece table.
 
     ``workers`` is accepted and ignored: the engine is single-threaded, and the
-    keyword stays only because the benchmark harness still passes it.
+    keyword stays only because perfbench/bench.py still passes ``workers=2``.
     """
     membersU = inst.basisU.members
     membersV = inst.basisV.members

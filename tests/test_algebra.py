@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitpieces import algebra
 from orbitpieces.algebra import (
     MAX_GENERATED_ORDER,
     GroupError,
     all_subgroups,
-    build_group,
     close_neighborhood_family,
     conjugate,
     cyclic_group,
@@ -117,11 +117,14 @@ def test_generated_table_matches_composition(gens, order):
     assert g.mul == _composed_table(gens)
 
 
-def test_generated_group_size_cap():
+def test_generated_group_size_cap(monkeypatch):
+    # the cap is read at call time
     s5 = [(1, 0, 2, 3, 4), _cycle(5)]
-    assert group_from_generators(s5, max_order=120).order == 120
-    with pytest.raises(GroupError, match="size cap"):
-        group_from_generators(s5, max_order=119)
+    monkeypatch.setattr(algebra, "MAX_GENERATED_ORDER", 120)
+    assert group_from_generators(s5).order == 120
+    monkeypatch.setattr(algebra, "MAX_GENERATED_ORDER", 119)
+    with pytest.raises(GroupError, match="size cap of 119 elements"):
+        group_from_generators(s5)
 
 
 def test_s7_exceeds_the_default_size_cap():
@@ -129,13 +132,6 @@ def test_s7_exceeds_the_default_size_cap():
     assert MAX_GENERATED_ORDER >= 720
     with pytest.raises(GroupError, match=f"size cap of {MAX_GENERATED_ORDER} elements"):
         group_from_generators([(1, 0, 2, 3, 4, 5, 6), _cycle(7)])
-
-
-def test_build_group_dispatch():
-    assert build_group({"mul": [[0, 1], [1, 0]]}).order == 2
-    assert build_group({"generators": [(1, 0)]}).order == 2
-    with pytest.raises(GroupError):
-        build_group({"neither": 1})
 
 
 def test_dihedral_order():

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from orbitpieces import classify
 from orbitpieces.algebra import group_from_generators, subgroup_closure
 from orbitpieces.bits import bits, to_list
 from orbitpieces.classify import (
@@ -74,12 +75,13 @@ def test_invariant_containment_z4pairs_clean_at_stable_level():
     assert out["violations"] == []
 
 
-def test_invariant_containment_budget_sampling():
+def test_invariant_containment_budget_sampling(monkeypatch):
     inst = named_instance("z4pairs")
     t = analyze(inst)
-    tiny = invariant_containment_check(inst, t, 1, budget=2, seed=5)
-    assert not tiny["exhaustive"]
-    again = invariant_containment_check(inst, t, 1, budget=2, seed=5)
+    monkeypatch.setattr(classify, "BUDGET", 2)  # read at call time
+    tiny = invariant_containment_check(inst, t, 1, seed=5)
+    assert not tiny["exhaustive"] and tiny["budget"] == 2
+    again = invariant_containment_check(inst, t, 1, seed=5)
     assert tiny == again  # seeded sampling is reproducible
 
 
@@ -142,11 +144,12 @@ def test_classification_report_z4self_all_conditions_hold():
         assert len(p["open_map_levels"]) == t.stabilization + 2
 
 
-def test_report_deterministic():
+def test_report_deterministic(monkeypatch):
     inst = make_random(31)
     t = analyze(inst)
-    a = classification_report(inst, t, budget=64, seed=9)
-    b = classification_report(inst, t, budget=64, seed=9)
+    monkeypatch.setattr(classify, "BUDGET", 64)
+    a = classification_report(inst, t, seed=9)
+    b = classification_report(inst, t, seed=9)
     assert a == b
 
 
@@ -235,13 +238,14 @@ def _containment_corpus():
     yield "s5c24", make_coset_action(s5, subgroup_closure(1 << 2, s5))
 
 
-def test_containment_check_matches_full_enumeration():
+def test_containment_check_matches_full_enumeration(monkeypatch):
     seen = set()
     for key, inst in _containment_corpus():
         t = analyze(inst)
         for alpha in (1, 2):
             for budget in (2, 4096):
-                got = invariant_containment_check(inst, t, alpha, budget, seed=3)
+                monkeypatch.setattr(classify, "BUDGET", budget)
+                got = invariant_containment_check(inst, t, alpha, seed=3)
                 assert got == _enumerated_containment_check(inst, t, alpha, budget, seed=3), (
                     key, alpha, budget)
                 seen.add((got["verdict"], got["exhaustive"]))

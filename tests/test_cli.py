@@ -330,6 +330,15 @@ def test_check_eventual_openness(capsys):
     assert "x=0 v=0 witness none" in lines
 
 
+def test_check_eventual_openness_builds_no_piece_table(capsys, monkeypatch):
+    def no_analysis(inst):
+        raise AssertionError("eventual openness reads no piece table")
+
+    monkeypatch.setattr("orbitpieces.cli.analyze", no_analysis)
+    code, out, _ = run(capsys, "check", "--instance", "z4coarse", "--kind", "eventual-openness")
+    assert code == 0 and out.startswith("eventually open false")
+
+
 def test_check_claschar_exploratory(capsys):
     code, out, _ = run(capsys, "check", "--instance", "z4pairs", "--kind", "claschar")
     assert code == 0
@@ -341,7 +350,7 @@ def test_check_claschar_strict_failure_exits_2(capsys, tmp_path, monkeypatch):
     p = tmp_path / "strict.json"
     p.write_text(serialize_instance(make_random(0, strict=True)))
 
-    def fake_report(inst, table, budget=4096, seed=0):
+    def fake_report(inst, table, seed=0):
         return {
             "mode": "strict",
             "conditions": {"eventually_open": False, "open_map": True},
@@ -513,7 +522,7 @@ def test_generate_cyclic_order_is_capped_up_front(capsys, monkeypatch):
     code, out, _ = run(capsys, "generate", "--template", "cyclic", "--n", "32")
     assert code == 0 and parse_instance(out).size == 32
 
-    def no_table(n, name=""):
+    def no_table(n):
         raise AssertionError("a refused order must not build a table")
 
     monkeypatch.setattr("orbitpieces.cli.make_cyclic_self", no_table)

@@ -22,7 +22,9 @@ index past the fixpoint, must agree with ``ref_local_delta_n`` and
 ``reach_sets``, ``reach_stages`` and ``cached_reach`` read one memoised list
 of reach stages per (x, U, V).  On fresh instances they are called at
 shuffled depths, the full set first or last, so that a memo shaped by the
-depth of the call that filled it shows against ``ref_reach_sets``.
+depth of the call that filled it shows against ``ref_reach_sets``.  The list
+stops expanding once a stage is the whole group; cells that get there at
+stage 1 and at a later stage are checked on their own.
 
 ``subgroup_closure`` and ``all_subgroups`` share one breadth-first closure
 under right multiplication; ``ref_subgroup_closure`` is the earlier loop over
@@ -281,11 +283,12 @@ def _check_cell(inst, rng, u, v):
         want = [ref_reach_sets(inst, x, u, v, depth) for depth in [*range(k + 2), None]]
         for depth, w in zip([*range(k + 2), None], want):
             assert reach_sets(inst, x, u, v, depth) == w, (inst.name, x, depth)
-        assert reach_stages(inst, x, u, v, k + 1) == want[1:k + 2]
-        # with no depth the list ends at the first depth that adds nothing
+        # the list ends at the first depth that adds nothing, and every later
+        # depth equals its last entry
         fixed = reach_stages(inst, x, u, v)
         f = len(fixed)
         assert fixed == [ref_reach_sets(inst, x, u, v, d) for d in range(1, f + 1)]
+        assert (fixed + fixed[-1:] * (k + 1))[:k + 1] == want[1:k + 2]
         assert fixed[-1] == want[-1] and (f == 1 or fixed[-1] == fixed[-2])
         assert all(fixed[i] != fixed[i + 1] for i in range(f - 2))
     if outside:
@@ -293,7 +296,6 @@ def _check_cell(inst, rng, u, v):
         assert local_orbit(inst, x, u, v) == 0
         for depth in [*range(k + 2), None]:
             assert reach_sets(inst, x, u, v, depth) == 0
-        assert reach_stages(inst, x, u, v, k + 1) == [0] * (k + 1)
         assert reach_stages(inst, x, u, v) == [0]
 
 
@@ -379,11 +381,40 @@ def test_reach_memo_answers_depths_in_any_order(none_first):
                             assert cached_reach(inst, x, u, v) == full, (inst.name, x)
                             assert reach_sets(inst, x, u, v) == full, (inst.name, x)
                         elif rng.random() < 0.5:
-                            assert reach_stages(inst, x, u, v, d) == want[1:d + 1], (inst.name, x, d)
+                            assert _padded_stages(inst, x, u, v, d) == want[1:d + 1], (inst.name, x, d)
                             assert reach_sets(inst, x, u, v, d) == want[d], (inst.name, x, d)
                         else:
                             assert reach_sets(inst, x, u, v, d) == want[d], (inst.name, x, d)
-                            assert reach_stages(inst, x, u, v, d) == want[1:d + 1], (inst.name, x, d)
+                            assert _padded_stages(inst, x, u, v, d) == want[1:d + 1], (inst.name, x, d)
+
+
+def _padded_stages(inst, x, u, v, d):
+    """Depths 1..d read off ``reach_stages``, its last entry repeated past the
+    fixpoint."""
+    fixed = reach_stages(inst, x, u, v)
+    return (fixed + fixed[-1:] * d)[:d]
+
+
+def test_reach_stages_that_reach_the_whole_group():
+    # Once a stage is all of G the next entry is the fixpoint, appended
+    # without expanding it.  On U = X, V = G every point reaches G at stage 1;
+    # on Z/n with V = {0, ±1} and U = X it takes n // 2 stages.
+    cells = [(make_coset_action(_symmetric_group(4), 1), 1), (make_cyclic_self(6), 1)]
+    cells += [(make_cyclic_self(n), n // 2) for n in (8, 9)]
+    for inst, first_full in cells:
+        full = inst.group.full
+        u = inst.basisU[-1]
+        v = full if first_full == 1 else inst.basisV[0]
+        assert u == inst.full_points and v.bit_count() in (inst.group.order, 3)
+        for x in range(inst.size):
+            fixed = reach_stages(inst, x, u, v)
+            assert fixed == [ref_reach_sets(inst, x, u, v, d) for d in range(1, first_full + 2)]
+            assert fixed.index(full) == first_full - 1 and fixed[-2:] == [full, full]
+            for d in range(first_full + 3):
+                assert reach_sets(inst, x, u, v, d) == ref_reach_sets(inst, x, u, v, d), (inst.name, x, d)
+    # the trivial group is whole before any stage, so stage 1 is the fixpoint
+    z1 = make_cyclic_self(1)
+    assert reach_stages(z1, 0, 1, 1) == [1] == [ref_reach_sets(z1, 0, 1, 1, 1)]
 
 
 def test_a_negative_depth_is_rejected():
@@ -392,8 +423,6 @@ def test_a_negative_depth_is_rejected():
     for x in range(inst.size):  # inside U_0 and outside it
         with pytest.raises(ValueError, match="depth must be >= 0"):
             reach_sets(inst, x, u, v, -1)
-        with pytest.raises(ValueError, match="depth must be >= 0"):
-            reach_stages(inst, x, u, v, -1)
 
 
 def test_a_lopsided_neighbourhood_is_read_through_its_inverse():

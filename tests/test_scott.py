@@ -31,7 +31,7 @@ def test_z4self_table_frozen():
     inst = named_instance("z4self")
     t = analyze(inst)
     assert t.stabilization == 1
-    assert signature(t, 0, 0, 0, 1).canonical() == (0, 1, 3, 4)
+    assert signature(t, 0, 0, 0, 1).entries == (0, 1, 3, 4)
     assert piece(t, 0, 0, 0, 1) == 0b0011
     assert piece(t, 0, 0, 0, STABLE) == 0b0011
     assert stable_partition(t) == [0b1111]
