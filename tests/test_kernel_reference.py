@@ -288,7 +288,7 @@ def _check_cell(inst, rng, u, v):
         fixed = reach_stages(inst, x, u, v)
         f = len(fixed)
         assert fixed == [ref_reach_sets(inst, x, u, v, d) for d in range(1, f + 1)]
-        assert (fixed + fixed[-1:] * (k + 1))[:k + 1] == want[1:k + 2]
+        assert _padded_stages(inst, x, u, v, k + 1) == want[1:k + 2]
         assert fixed[-1] == want[-1] and (f == 1 or fixed[-1] == fixed[-2])
         assert all(fixed[i] != fixed[i + 1] for i in range(f - 2))
     if outside:
