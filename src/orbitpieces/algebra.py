@@ -15,9 +15,10 @@ middle of the list and appended last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
-from .bits import bits, to_list, universe
+from .bits import bits, is_subset, to_list, universe
 
 
 class GroupError(ValueError):
@@ -329,6 +330,14 @@ class SetFamily:
 
     def index(self, mask: int) -> int:
         return self._index[mask]
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        """For each member, the indices of the members inside it, ascending.
+
+        Built on first read."""
+        members = self.members
+        return tuple(tuple(i for i, s in enumerate(members) if is_subset(s, m)) for m in members)
 
 
 def close_family(seeds, images, full: int) -> SetFamily:

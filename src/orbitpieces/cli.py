@@ -23,6 +23,7 @@ from .gspace import (
     orbit,
 )
 from .harness import (
+    DEFAULT_TRIALS,
     InstanceFormatError,
     build_analysis,
     load_instance,
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(fn=_cmd_oracle)
 
     p = subs.add_parser("generate", help="emit an instance document")
@@ -508,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("report", help="full analysis document with oracle log")
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_report)

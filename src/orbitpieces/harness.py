@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 
 # all_subgroups is unused here, but the benchmark tracer wraps it by this
@@ -268,7 +269,10 @@ class _Ctx:
         self.table = table
         self.seed = seed
         self.trials = trials
-        self.strict = inst.mode == "strict"
+        self.U = inst.basisU
+        self.V = inst.basisV
+        # theorem-tier checks assert on strict instances and report otherwise
+        self.sev = "assert" if inst.mode == "strict" else "report"
         self.entries: list[dict] = []
         self.rng = random.Random()
 
@@ -287,9 +291,6 @@ class _Ctx:
             }
         )
 
-    def theorem_severity(self) -> str:
-        return "assert" if self.strict else "report"
-
     # -- samplers ----------------------------------------------------------
 
     def point_set(self) -> int:
@@ -299,10 +300,20 @@ class _Ctx:
         return self.rng.getrandbits(self.inst.group.order)
 
     def cell(self) -> tuple[int, int]:
-        return (
-            self.rng.randrange(len(self.inst.basisU)),
-            self.rng.randrange(len(self.inst.basisV)),
-        )
+        return self.rng.randrange(len(self.U)), self.rng.randrange(len(self.V))
+
+    def cells(self, k: int):
+        """k drawn cells as (n, m, U_n, V_m), each drawn when the loop reaches it."""
+        for _ in range(k):
+            n, m = self.cell()
+            yield n, m, self.U[n], self.V[m]
+
+    def cell_points(self, k: int):
+        """``cells(k)`` without the cells whose U_n is empty, each with a point
+        x of U_n drawn right after the cell: (n, m, U_n, V_m, x)."""
+        for n, m, u, v in self.cells(k):
+            if u:
+                yield n, m, u, v, self.point_in(u)
 
     def sym_subset(self, v: int) -> int:
         """A random symmetric subset of v containing the identity."""
@@ -314,20 +325,7 @@ class _Ctx:
         return out
 
     def point_in(self, u: int) -> int:
-        pts = to_list(u)
-        return pts[self.rng.randrange(len(pts))]
-
-
-class _Memo(dict):
-    """A dict that fills each missing key with ``fn(key)``."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        got = self[key] = self.fn(key)
-        return got
+        return self.rng.choice(to_list(u))
 
 
 def _padded_star_limit(inst: ActionInstance, a: int, u: int, v: int) -> int:
@@ -348,13 +346,9 @@ def _padded_star_limit(inst: ActionInstance, a: int, u: int, v: int) -> int:
 
 def _suite_locsat(ctx: _Ctx):
     inst = ctx.inst
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
     t = ctx.trials
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(t):
         b = ctx.point_set()
         a = b & ctx.point_set()
         u2 = u & ctx.point_set()
@@ -362,9 +356,7 @@ def _suite_locsat(ctx: _Ctx):
         if not is_subset(saturate(inst, a, u2, v2), saturate(inst, b, u, v)):
             ctx.fail("locsat", "saturate-monotone", (n, m), A=to_list(a), B=to_list(b))
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(t):
         a, b = ctx.point_set(), ctx.point_set()
         if saturate(inst, a | b, u, v) != saturate(inst, a, u, v) | saturate(inst, b, u, v):
             ctx.fail("locsat", "saturate-union", (n, m), A=to_list(a), B=to_list(b))
@@ -374,9 +366,7 @@ def _suite_locsat(ctx: _Ctx):
         if saturate(inst, a, u, v) != byp:
             ctx.fail("locsat", "saturate-pointwise-union", (n, m), A=to_list(a))
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(t):
         a = ctx.point_set()
         s = saturate(inst, a, u, v)
         if saturate(inst, s, u, v) != s:
@@ -384,26 +374,17 @@ def _suite_locsat(ctx: _Ctx):
         if saturate_by_parts(inst, a, u, v) != s:
             ctx.fail("locsat", "saturate-orbit-union", (n, m), A=to_list(a))
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x, y = ctx.point_in(u), ctx.point_in(u)
+    for n, m, u, v, x in ctx.cell_points(t):
+        y = ctx.point_in(u)
         ox, oy = local_orbit(inst, x, u, v), local_orbit(inst, y, u, v)
         if (ox == oy) != bool(oy >> x & 1):
             ctx.fail("locsat", "orbit-symmetry", (n, m), x=x, y=y)
 
     # decomposition of a local orbit along its reach set
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x = ctx.point_in(u)
+    mul = inst.group.mul
+    for n, m, u, v, x in ctx.cell_points(t):
         u2 = ctx.point_set() | 1 << x
         v2 = ctx.sym_subset(v)
-        mul = inst.group.mul
         rhs = 0
         for g in bits(reach_sets(inst, x, u, v)):
             gv = mask_of(mul[g][e] for e in bits(v2))
@@ -414,9 +395,7 @@ def _suite_locsat(ctx: _Ctx):
                      U2=to_list(u2), V2=to_list(v2))
 
     for f in range(inst.group.order):
-        for _ in range(max(2, t // 4)):
-            n, m = ctx.cell()
-            u, v = membersU[n], membersV[m]
+        for n, m, u, v in ctx.cells(max(2, t // 4)):
             a = ctx.point_set()
             lhs = translate_set(inst, saturate(inst, a, u, v), f)
             rhs = saturate(
@@ -428,12 +407,7 @@ def _suite_locsat(ctx: _Ctx):
             if lhs != rhs:
                 ctx.fail("locsat", "saturate-equivariance", (n, m), f=f, A=to_list(a))
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x = ctx.point_in(u)
+    for n, m, u, v, x in ctx.cell_points(t):
         img = act_image(inst, 1 << x, reach_sets(inst, x, u, v))
         if img != local_orbit(inst, x, u, v):
             ctx.fail("locsat", "orbit-via-reach", (n, m), x=x)
@@ -445,17 +419,10 @@ def _suite_locsat(ctx: _Ctx):
 
 def _suite_bH(ctx: _Ctx):
     inst = ctx.inst
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
     mul = inst.group.mul
     t = ctx.trials
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x = ctx.point_in(u)
+    for n, m, u, v, x in ctx.cell_points(t):
         for depth in (1, 2, inst.group.order):
             lhs = reach_sets(inst, x, u, v, depth + 1)
             stage1 = reach_sets(inst, x, u, v, 1)
@@ -467,12 +434,7 @@ def _suite_bH(ctx: _Ctx):
             if lhs != rhs:
                 ctx.fail("bH", "reach-composition", (n, m), x=x, depth=depth)
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x = ctx.point_in(u)
+    for n, m, u, v, x in ctx.cell_points(t):
         r = reach_sets(inst, x, u, v)
         for h in bits(r):
             rh = 0
@@ -482,9 +444,7 @@ def _suite_bH(ctx: _Ctx):
                 ctx.fail("bH", "reach-coset-law", (n, m), x=x, h=h)
                 break
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(t):
         x = ctx.rng.randrange(inst.size)
         blocks = group_coset_partition(inst, x, u, v)
         domain = 0
@@ -508,8 +468,6 @@ def _suite_bH(ctx: _Ctx):
 
 def _suite_vaught(ctx: _Ctx):
     inst = ctx.inst
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
     mul = inst.group.mul
     inv = inst.group.inv
     t = ctx.trials
@@ -536,9 +494,7 @@ def _suite_vaught(ctx: _Ctx):
             if delta(inst, a, k) != act_image(inst, a, k):
                 ctx.fail("vaught", "subgroup-delta-saturation", None, K=to_list(k), A=to_list(a))
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(t):
         a = ctx.point_set()
         # stages 1..|U|+1 from one stage list each, padded past the fixpoint;
         # the star stages by duality, U ∖ (U∖A)^{Δ_U(V,n)}, so the last entries
@@ -555,8 +511,8 @@ def _suite_vaught(ctx: _Ctx):
             if not is_subset(stages_s[i + 1], stages_s[i]):
                 ctx.fail("vaught", "star-stages-decrease", (n, m), A=to_list(a), stage=i + 1)
         # reach sets repeat across stages and points once they stop growing
-        delta_of = _Memo(lambda r: delta(inst, a, r))
-        star_of = _Memo(lambda r: star(inst, a, r))
+        delta_of = cache(partial(delta, inst, a))
+        star_of = cache(partial(star, inst, a))
         for x in bits(u):
             # past the last fixpoint of the three lists every check repeats
             # the one before it, and a failure there would have stopped the
@@ -565,24 +521,22 @@ def _suite_vaught(ctx: _Ctx):
             stop = min(k, max(fixed, len(rs)))
             rs += rs[-1:] * (stop - len(rs))
             for i, sd in enumerate(stages_d[:stop]):
-                if bool(sd >> x & 1) != bool(delta_of[rs[i]] >> x & 1):
+                if bool(sd >> x & 1) != bool(delta_of(rs[i]) >> x & 1):
                     ctx.fail("vaught", "stage-reach-delta", (n, m), A=to_list(a), x=x, stage=i + 1)
                     break
             for i, ss in enumerate(stages_s[:stop]):
-                if bool(ss >> x & 1) != bool(star_of[rs[i]] >> x & 1):
+                if bool(ss >> x & 1) != bool(star_of(rs[i]) >> x & 1):
                     ctx.fail("vaught", "stage-reach-star", (n, m), A=to_list(a), x=x, stage=i + 1)
                     break
         ld, ls = stages_d[-1], stages_s[-1]
         for x in bits(u):
             r = reach_sets(inst, x, u, v)
-            if bool(ld >> x & 1) != bool(delta_of[r] >> x & 1):
+            if bool(ld >> x & 1) != bool(delta_of(r) >> x & 1):
                 ctx.fail("vaught", "limit-reach-delta", (n, m), A=to_list(a), x=x)
-            if bool(ls >> x & 1) != bool(star_of[r] >> x & 1):
+            if bool(ls >> x & 1) != bool(star_of(r) >> x & 1):
                 ctx.fail("vaught", "limit-reach-star", (n, m), A=to_list(a), x=x)
 
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(t):
         a, b = ctx.point_set(), ctx.point_set()
         v2 = ctx.sym_subset(v)
         ld = local_delta(inst, a, u, v)
@@ -609,12 +563,9 @@ def _suite_vaught(ctx: _Ctx):
     # the-two-paths proposition: a saturation generated under sub-cell
     # hypotheses has equal saturation and limit delta; and in the finite
     # category the identity holds for arbitrary sets
-    for _ in range(t):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        subs = [u2 for u2 in membersU if is_subset(u2, u)]
-        u2 = subs[ctx.rng.randrange(len(subs))]
-        v2 = membersV[ctx.rng.randrange(len(membersV))]
+    for n, m, u, v in ctx.cells(t):
+        u2 = ctx.U[ctx.rng.choice(ctx.U.subsets[n])]
+        v2 = ctx.rng.choice(ctx.V)
         a = saturate(inst, ctx.point_set(), u2, v2)
         if saturate(inst, a, u, v) != local_delta(inst, a, u, v):
             ctx.fail("vaught", "saturation-equals-delta", (n, m), A=to_list(a),
@@ -632,9 +583,7 @@ def _suite_vaught(ctx: _Ctx):
     #      so star(A, V2·g) ⊆ star(A, {g}) and delta(A, V2·g) ⊇ delta(A, {g});
     #   3. x ∈ star(A, {g}) iff x ∈ delta(A, {g}) iff g·x ∈ A.
     # So the union side is "r·x meets A" and the intersection side "r·x ⊆ A".
-    for _ in range(max(2, t // 4)):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(max(2, t // 4)):
         if not u:
             continue
         a = ctx.point_set()
@@ -699,8 +648,6 @@ def _successor_formula(inst, data, parts, u: int, v: int) -> list[int]:
 def _suite_phar(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
     cells = table.cells
     n_cells = len(cells)
 
@@ -712,8 +659,7 @@ def _suite_phar(ctx: _Ctx):
     # level-1 agreement with the intersection formula
     for ci in cell_ids:
         n, m = cells[ci]
-        u, v = membersU[n], membersV[m]
-        pairs = _oracle_level1_cell(inst, u, v)
+        pairs = _oracle_level1_cell(inst, ctx.U[n], ctx.V[m])
         blocks = [pts for _, pts in pairs]
         engine = [mask for _, mask in table.levels[0][ci]]
         if blocks != engine:
@@ -731,8 +677,7 @@ def _suite_phar(ctx: _Ctx):
         nxt = table.levels[lvl] if lvl < table.stabilization else table.levels[lvl - 1]
         for ci in cell_ids:
             n, m = cells[ci]
-            u, v = membersU[n], membersV[m]
-            oracle = _successor_formula(inst, data, table.cell_orbits[ci], u, v)
+            oracle = _successor_formula(inst, data, table.cell_orbits[ci], ctx.U[n], ctx.V[m])
             engine = [mask for _, mask in nxt[ci]]
             if oracle != engine:
                 ctx.fail("phar", "successor-intersection-formula", (n, m), level=lvl,
@@ -759,14 +704,15 @@ def _suite_phar(ctx: _Ctx):
                     ctx.fail("phar", "piece-lookup-roundtrip", (n, m), level=lvl, x=x)
 
     # canonical pattern partition against the level-1 top cell
-    top = [mask for _, mask in table.levels[0][table.cell_index(len(membersU) - 1, len(membersV) - 1)]]
+    top_cell = (len(ctx.U) - 1, len(ctx.V) - 1)
+    top = [mask for _, mask in table.levels[0][table.cell_index(*top_cell)]]
     if top != pattern_partition(inst):
-        ctx.fail("phar", "canonical-pattern-partition", (len(membersU) - 1, len(membersV) - 1),
+        ctx.fail("phar", "canonical-pattern-partition", top_cell,
                  engine=[to_list(b) for b in top],
                  pattern=[to_list(b) for b in pattern_partition(inst)])
 
     # stabilization bound and one-step fixedness
-    bound = inst.size * len(membersU) * len(membersV)
+    bound = inst.size * n_cells
     if table.stabilization > bound:
         ctx.fail("phar", "stabilization-bound", None, stabilization=table.stabilization, bound=bound)
     extra, _ = successor_level(inst, cells, table.cell_orbits, table.levels[-1])
@@ -782,12 +728,9 @@ def _suite_phar(ctx: _Ctx):
 def _suite_hist(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    sev = ctx.theorem_severity()
 
     for ci, (n, m) in enumerate(table.cells):
-        u, v = membersU[n], membersV[m]
+        u, v = ctx.U[n], ctx.V[m]
         for lvl in range(1, table.stabilization + 1):
             union = 0
             ok = True
@@ -803,38 +746,32 @@ def _suite_hist(ctx: _Ctx):
             if not ok or union != u:
                 ctx.fail("hist", "pieces-partition-cell", (n, m), level=lvl)
 
-    subsU = [[i for i, ui in enumerate(membersU) if is_subset(ui, un)] for un in membersU]
-    subsV = [[j for j, vj in enumerate(membersV) if is_subset(vj, vm)] for vm in membersV]
-    for _ in range(ctx.trials):
-        bign = ctx.rng.randrange(len(membersU))
-        bigm = ctx.rng.randrange(len(membersV))
-        n = subsU[bign][ctx.rng.randrange(len(subsU[bign]))]
-        m = subsV[bigm][ctx.rng.randrange(len(subsV[bigm]))]
-        if not membersU[n]:
+    for bign, bigm, ubig, _ in ctx.cells(ctx.trials):
+        n = ctx.rng.choice(ctx.U.subsets[bign])
+        m = ctx.rng.choice(ctx.V.subsets[bigm])
+        if not ctx.U[n]:
             continue
-        x = ctx.point_in(membersU[n])
+        x = ctx.point_in(ctx.U[n])
         alpha = ctx.rng.randrange(1, table.stabilization + 2)
         beta = ctx.rng.randrange(0, alpha + 1)
         inner = piece(table, x, n, m, alpha)
-        outer = membersU[bign] if beta == 0 else piece(table, x, bign, bigm, beta)
+        outer = ubig if beta == 0 else piece(table, x, bign, bigm, beta)
         if not is_subset(inner, outer):
-            ctx.fail("hist", "cross-scale-containment", (n, m), severity=sev,
+            ctx.fail("hist", "cross-scale-containment", (n, m), severity=ctx.sev,
                      outer_cell=[bign, bigm], x=x, alpha=alpha, beta=beta)
 
-    for _ in range(ctx.trials):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
+    for n, m, u, v in ctx.cells(ctx.trials):
         if not u:
             continue
         h = ctx.rng.randrange(inst.group.order)
         x = ctx.point_in(u)
         lvl = ctx.rng.randrange(1, table.stabilization + 2)
         lhs = translate_set(inst, piece(table, x, n, m, lvl), h)
-        n2 = inst.basisU.index(translate_set(inst, u, h))
-        m2 = inst.basisV.index(conjugate(v, h, inst.group))
+        n2 = ctx.U.index(translate_set(inst, u, h))
+        m2 = ctx.V.index(conjugate(v, h, inst.group))
         rhs = piece(table, inst.act[h][x], n2, m2, lvl)
         if lhs != rhs:
-            ctx.fail("hist", "piece-equivariance", (n, m), severity=sev, x=x, h=h, level=lvl)
+            ctx.fail("hist", "piece-equivariance", (n, m), severity=ctx.sev, x=x, h=h, level=lvl)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +780,6 @@ def _suite_hist(ctx: _Ctx):
 
 def _suite_vb(ctx: _Ctx):
     table = ctx.table
-    sev = ctx.theorem_severity()
     jobs = []
     for ci, (n, m) in enumerate(table.cells):
         for part in table.cell_orbits[ci]:
@@ -856,45 +792,40 @@ def _suite_vb(ctx: _Ctx):
         got = piece_from_decomposition(table, x, n, m, alpha)
         want = piece(table, x, n, m, alpha + 1)
         if got != want:
-            ctx.fail("vb", "successor-piece-decomposition", (n, m), severity=sev,
+            ctx.fail("vb", "successor-piece-decomposition", (n, m), severity=ctx.sev,
                      x=x, alpha=alpha, decomposition=to_list(got), piece=to_list(want))
 
 
 def _suite_list(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    sev = ctx.theorem_severity()
-    subsU = [[i for i, ui in enumerate(membersU) if is_subset(ui, un)] for un in membersU]
+    U, V = ctx.U, ctx.V
 
-    for _ in range(ctx.trials):
-        u_idx, v_idx = ctx.cell()
-        u, v = membersU[u_idx], membersV[v_idx]
-        n = ctx.rng.randrange(len(membersU))
-        if not membersU[n] & u:
+    for u_idx, v_idx, u, v in ctx.cells(ctx.trials):
+        n = ctx.rng.randrange(len(U))
+        if not U[n] & u:
             continue
-        x = ctx.point_in(membersU[n] & u)
-        m = ctx.rng.randrange(len(membersV))
+        x = ctx.point_in(U[n] & u)
+        m = ctx.rng.randrange(len(V))
         alpha = ctx.rng.randrange(1, table.stabilization + 1)
         sat = saturate(inst, piece(table, x, n, m, alpha), u, v)
         for y in bits(sat):
             found = False
-            for i in subsU[n]:
-                ui = membersU[i]
+            for i in U.subsets[n]:
+                ui = U[i]
                 for h in bits(reach_common(inst, ui, u, v)):
                     hui = translate_set(inst, ui, h)
                     if not hui >> y & 1:
                         continue
-                    j = inst.basisU.index(hui)
-                    m2 = inst.basisV.index(conjugate(membersV[m], h, inst.group))
+                    j = U.index(hui)
+                    m2 = V.index(conjugate(V[m], h, inst.group))
                     if is_subset(piece(table, y, j, m2, alpha), sat):
                         found = True
                         break
                 if found:
                     break
             if not found:
-                ctx.fail("list", "surrounding-piece", (u_idx, v_idx), severity=sev,
+                ctx.fail("list", "surrounding-piece", (u_idx, v_idx), severity=ctx.sev,
                          source_cell=[n, m], x=x, y=y, alpha=alpha)
                 break
 
@@ -902,16 +833,8 @@ def _suite_list(ctx: _Ctx):
 def _suite_translate(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    sev = ctx.theorem_severity()
 
-    for _ in range(ctx.trials):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x = ctx.point_in(u)
+    for n, m, u, v, x in ctx.cell_points(ctx.trials):
         h = ctx.rng.randrange(inst.group.order)
         hu = translate_set(inst, u, h)
         hv = conjugate(v, h, inst.group)
@@ -919,22 +842,17 @@ def _suite_translate(ctx: _Ctx):
         alpha = ctx.rng.randrange(1, table.stabilization + 2)
         beta = ctx.rng.randrange(1, alpha + 1)
         translated = translate_set(inst, piece(table, x, n, m, beta), h)
-        for j, uj in enumerate(membersU):
+        for j, uj in enumerate(ctx.U):
             if not (uj >> hx & 1 and is_subset(uj, hu)):
                 continue
-            for m2, vm2 in enumerate(membersV):
+            for m2, vm2 in enumerate(ctx.V):
                 if not is_subset(vm2, hv):
                     continue
                 if not is_subset(piece(table, hx, j, m2, alpha), translated):
-                    ctx.fail("translate", "h-translate-containment", (n, m), severity=sev,
+                    ctx.fail("translate", "h-translate-containment", (n, m), severity=ctx.sev,
                              x=x, h=h, alpha=alpha, beta=beta, inner_cell=[j, m2])
 
-    for _ in range(ctx.trials):
-        n, m = ctx.cell()
-        u, v = membersU[n], membersV[m]
-        if not u:
-            continue
-        x = ctx.point_in(u)
+    for n, m, u, v, x in ctx.cell_points(ctx.trials):
         h = ctx.rng.randrange(inst.group.order)
         alpha = ctx.rng.randrange(1, table.stabilization + 2)
         hb = translate_set(inst, piece(table, x, n, m, alpha), h)
@@ -942,17 +860,17 @@ def _suite_translate(ctx: _Ctx):
         hv = conjugate(v, h, inst.group)
         for y in bits(hb):
             found = False
-            for j, uj in enumerate(membersU):
+            for j, uj in enumerate(ctx.U):
                 if not (uj >> y & 1 and is_subset(uj, hu)):
                     continue
-                for m2, vm2 in enumerate(membersV):
+                for m2, vm2 in enumerate(ctx.V):
                     if is_subset(vm2, hv) and is_subset(piece(table, y, j, m2, alpha), hb):
                         found = True
                         break
                 if found:
                     break
             if not found:
-                ctx.fail("translate", "translated-piece-cover", (n, m), severity=sev,
+                ctx.fail("translate", "translated-piece-cover", (n, m), severity=ctx.sev,
                          x=x, h=h, alpha=alpha, y=y)
                 break
 
@@ -960,14 +878,13 @@ def _suite_translate(ctx: _Ctx):
 def _suite_orb(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    sev = ctx.theorem_severity()
     for x in range(inst.size):
         rank = scott_rank(table, x)
         for ci, (n, m) in enumerate(table.cells):
-            if not inst.basisU[n] >> x & 1:
+            if not ctx.U[n] >> x & 1:
                 continue
             if piece(table, x, n, m, rank + 2) != piece(table, x, n, m, STABLE):
-                ctx.fail("orb", "rank-plus-two-final", (n, m), severity=sev, x=x, rank=rank)
+                ctx.fail("orb", "rank-plus-two-final", (n, m), severity=ctx.sev, x=x, rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -977,9 +894,6 @@ def _suite_orb(ctx: _Ctx):
 def _suite_subs(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    sev = ctx.theorem_severity()
 
     # relative re-analysis comparison on sampled parameter tuples
     tried = 0
@@ -990,7 +904,7 @@ def _suite_subs(ctx: _Ctx):
         gamma = ctx.rng.randrange(1, alpha)
         u_idx, v_idx = ctx.cell()
         x = ctx.rng.randrange(inst.size)
-        candidates = orbit(inst, x) & membersU[u_idx]
+        candidates = orbit(inst, x) & ctx.U[u_idx]
         if not candidates:
             continue
         x2 = ctx.point_in(candidates)
@@ -1012,7 +926,7 @@ def _suite_subs(ctx: _Ctx):
                     rhs = rel.to_parent(piece(rel.sub_table, ys, rel.d_index, v_idx, beta + 1))
                     tag = beta
                 if lhs != rhs:
-                    ctx.fail("subs", "relative-piece-equality", (u_idx, v_idx), severity=sev,
+                    ctx.fail("subs", "relative-piece-equality", (u_idx, v_idx), severity=ctx.sev,
                              x=x, x2=x2, alpha=alpha, gamma=gamma, y=y, beta=tag,
                              lhs=to_list(lhs), rhs=to_list(rhs))
 
@@ -1022,18 +936,16 @@ def _suite_subs(ctx: _Ctx):
         x = ctx.rng.randrange(inst.size)
         beta = ctx.rng.randrange(0, table.stabilization + 1)
         alpha = beta + 1
-        top_u = len(membersU) - 1
-        top_v = len(membersV) - 1
-        ground = piece(table, x, top_u, top_v, max(alpha, 1))
+        ground = piece(table, x, len(ctx.U) - 1, len(ctx.V) - 1, max(alpha, 1))
         fam_all = refined_family(table, x, max(alpha, 1))
         if beta == 0:
-            fam_one = list(membersU)
+            fam_one = list(ctx.U)
         else:
             orb = orbit(inst, x)
             fam_one = []
             seen = set()
             for ci, (n, m) in enumerate(table.cells):
-                pts = orb & membersU[n]
+                pts = orb & ctx.U[n]
                 for y in bits(pts):
                     p = piece(table, y, n, m, beta)
                     if p not in seen:
@@ -1042,7 +954,7 @@ def _suite_subs(ctx: _Ctx):
         t_all = generate_topology(ground, fam_all)
         t_one = generate_topology(ground, fam_one)
         if t_all != t_one:
-            ctx.fail("subs", "successor-basis-topology", None, severity=sev, x=x, beta=beta)
+            ctx.fail("subs", "successor-basis-topology", None, severity=ctx.sev, x=x, beta=beta)
 
 
 _SUITE_FUNCS = {
@@ -1061,17 +973,20 @@ SUITES = tuple(_SUITE_FUNCS)
 
 DEFAULT_TRIALS = 16
 
-def _check_suite_request(suite: str) -> None:
-    """Refuse, before any work, an unknown suite."""
+
+def _check_suite_request(suite: str, trials: int) -> None:
+    """Refuse, before any work, an unknown suite or fewer than one trial."""
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def run_oracles(
     inst: ActionInstance,
     suite: str = "all",
     seed: int = 0,
-    trials: int | None = None,
+    trials: int = DEFAULT_TRIALS,
     table: PieceTable | None = None,
 ) -> list[dict]:
     """Run one differential suite (or all of them) and return the log.
@@ -1081,10 +996,10 @@ def run_oracles(
     the union of the individual runs.  Entries with severity "assert" signal
     oracle failures; "report" entries are exploratory findings.
     """
-    _check_suite_request(suite)
+    _check_suite_request(suite, trials)
     if table is None:
         table = analyze(inst)
-    ctx = _Ctx(inst, table, seed, trials if trials is not None else DEFAULT_TRIALS)
+    ctx = _Ctx(inst, table, seed, trials)
     tokens = SUITES if suite == "all" else (suite,)
     for token in tokens:
         ctx.reseed(token)
@@ -1106,14 +1021,15 @@ def _signature_entry(sig) -> dict:
 def build_analysis(
     inst: ActionInstance,
     seed: int = 0,
-    trials: int | None = None,
+    trials: int = DEFAULT_TRIALS,
     suite: str = "all",
 ) -> dict:
     """The full analysis document: piece table, ranks, classification, oracle log.
 
-    Raises ``ValueError`` up front for a suite that ``run_oracles`` refuses.
+    Raises ``ValueError`` up front for a suite or trial count that
+    ``run_oracles`` refuses.
     """
-    _check_suite_request(suite)
+    _check_suite_request(suite, trials)
     table = analyze(inst)
     levels = []
     for lvl in range(1, table.stabilization + 1):
@@ -1146,11 +1062,7 @@ def build_analysis(
         "stable_partition": [to_list(b) for b in stable_partition(table)],
         "classification": classification_report(inst, table, seed=seed),
         "oracle_log": log,
-        "parameters": {
-            "seed": seed,
-            "trials": trials if trials is not None else DEFAULT_TRIALS,
-            "suite": suite,
-        },
+        "parameters": {"seed": seed, "trials": trials, "suite": suite},
     }
 
 

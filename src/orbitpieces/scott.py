@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
 
-from .bits import is_subset, mask_of, to_list
+from .bits import mask_of, to_list
 from .gspace import ActionInstance, orbit, translate_set
 from .saturation import cached_reach, orbit_partition, reach_common
 
@@ -293,17 +293,16 @@ def pattern_partition(inst: ActionInstance) -> list[int]:
 # the successor-piece decomposition (differential oracle target)
 
 
-def _decomp_tables(table: PieceTable):
-    """Lazy per-table translates (``translates[i][g]`` = gU_i) and U-subset lists."""
-    cache = table._caches.get("decomp")
-    if cache is None:
+def _decomp_translates(table: PieceTable):
+    """Lazy per-table translates, ``translates[i][g]`` = gU_i."""
+    translates = table._caches.get("decomp")
+    if translates is None:
         inst = table.instance
-        membersU = inst.basisU.members
         order = inst.group.order
-        translates = [[translate_set(inst, u, g) for g in range(order)] for u in membersU]
-        subsets = [[i for i, ui in enumerate(membersU) if is_subset(ui, un)] for un in membersU]
-        cache = table._caches["decomp"] = (translates, subsets)
-    return cache
+        translates = table._caches["decomp"] = [
+            [translate_set(inst, u, g) for g in range(order)] for u in inst.basisU.members
+        ]
+    return translates
 
 
 def _decomp_candidates(table: PieceTable, u_idx: int, v_idx: int) -> list[tuple[int, ...]]:
@@ -321,7 +320,8 @@ def _decomp_candidates(table: PieceTable, u_idx: int, v_idx: int) -> list[tuple[
         membersU = inst.basisU.members
         u = membersU[u_idx]
         v = inst.basisV[v_idx]
-        translates, subsets = _decomp_tables(table)
+        translates = _decomp_translates(table)
+        subsets = inst.basisU.subsets
         cands = {}
         for i in subsets[u_idx]:
             row = translates[i]
