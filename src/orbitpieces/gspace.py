@@ -155,6 +155,16 @@ def _check_strict(size: int, basisU: SetFamily, basisV: SetFamily) -> None:
         raise InstanceError("strict mode: {identity} missing from basisV")
 
 
+def _check_cells(basisU: SetFamily, basisV: SetFamily) -> None:
+    """Refuse families with more than ``MAX_CELLS`` cells |𝒰|·|𝒱|."""
+    cells = len(basisU) * len(basisV)
+    if cells > MAX_CELLS:
+        raise InstanceError(
+            f"the families have {len(basisU)} U-members and {len(basisV)} V-members, "
+            f"{cells} cells; at most {MAX_CELLS} are accepted"
+        )
+
+
 def build_instance(
     group: Group,
     size: int,
@@ -175,12 +185,7 @@ def build_instance(
     rows = _validate_action(group, size, act)
     basisU = close_family(seedsU, _translates(rows), universe(size))
     basisV = close_neighborhood_family(seedsV, group)
-    cells = len(basisU) * len(basisV)
-    if cells > MAX_CELLS:
-        raise InstanceError(
-            f"the families close to {len(basisU)} U-members and {len(basisV)} V-members, "
-            f"{cells} cells; at most {MAX_CELLS} are accepted"
-        )
+    _check_cells(basisU, basisV)
     if mode == "strict":
         _check_strict(size, basisU, basisV)
     return ActionInstance(group, size, rows, basisU, basisV, mode, name)
@@ -200,7 +205,8 @@ def instance_from_families(
     Used for relativized sub-spaces whose basis enumeration must be taken
     verbatim.  The full point set must be the last U-member and the full group
     the last V-member.  In strict mode the U-family must also be
-    translation-closed, and a violation is an internal error.
+    translation-closed, and a violation is an internal error.  Families with
+    more than ``MAX_CELLS`` cells are refused, as by ``build_instance``.
     """
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
@@ -215,6 +221,7 @@ def instance_from_families(
         raise InstanceError("families must be duplicate-free")
     basisU = SetFamily(membersU)
     basisV = SetFamily(membersV)
+    _check_cells(basisU, basisV)
     if mode == "strict":
         _check_strict(size, basisU, basisV)
         if len(close_family(membersU, _translates(rows), universe(size))) != len(membersU):
@@ -260,22 +267,12 @@ def make_z4_pairs() -> ActionInstance:
     return build_instance(g, 4, act, seedsU, seedsV, "exploratory", "z4pairs")
 
 
-def make_coset_action(
-    group: Group,
-    subgroup_mask: int,
-    seedsU=None,
-    seedsV=None,
-    mode: str = "strict",
-    name: str = "",
-) -> ActionInstance:
-    """Left translation on the left cosets of a subgroup.
+def _coset_rows(group: Group, subgroup_mask: int) -> list[list[int]]:
+    """The action table of left translation on the left cosets of a subgroup.
 
     Cosets are numbered in first-seen order scanning elements 0..order-1, so
-    the coset of the identity is point 0.  The default seeds (all singletons,
-    {identity}) give a strict instance.
+    the coset of the identity is point 0.
     """
-    if not is_subgroup(subgroup_mask, group):
-        raise InstanceError("subgroup mask is not a subgroup")
     coset_of = [-1] * group.order
     reps: list[int] = []
     for e in range(group.order):
@@ -285,8 +282,25 @@ def make_coset_action(
         reps.append(e)
         for h in bits(subgroup_mask):
             coset_of[group.mul[e][h]] = idx
-    size = len(reps)
-    act = [[coset_of[group.mul[g][r]] for r in reps] for g in range(group.order)]
+    return [[coset_of[group.mul[g][r]] for r in reps] for g in range(group.order)]
+
+
+def make_coset_action(
+    group: Group,
+    subgroup_mask: int,
+    seedsU=None,
+    seedsV=None,
+    mode: str = "strict",
+    name: str = "",
+) -> ActionInstance:
+    """Left translation on the left cosets of a subgroup (``_coset_rows``).
+
+    The default seeds (all singletons, {identity}) give a strict instance.
+    """
+    if not is_subgroup(subgroup_mask, group):
+        raise InstanceError("subgroup mask is not a subgroup")
+    act = _coset_rows(group, subgroup_mask)
+    size = len(act[0])
     if seedsU is None:
         seedsU = [1 << x for x in range(size)]
     if seedsV is None:
@@ -363,10 +377,9 @@ def make_random(seed: int, strict: bool = False) -> ActionInstance:
         options = [h for h in subgroups if order // h.bit_count() <= room]
         if not options:
             break
-        h = rng.choice(options)
-        block = make_coset_action(group, h, seedsU=[], seedsV=[1], mode="exploratory")
-        blocks.append([list(row) for row in block.act])
-        size += block.size
+        block = _coset_rows(group, rng.choice(options))
+        blocks.append(block)
+        size += len(block[0])
     if not blocks:
         blocks.append([[0] for _ in range(order)])
         size = 1

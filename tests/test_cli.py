@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from orbitpieces import gspace
 from orbitpieces.algebra import group_from_generators, subgroup_closure
 from orbitpieces.cli import MAX_CYCLIC_ORDER, main
 from orbitpieces.gspace import MAX_CELLS, make_coset_action, make_cyclic_self, make_random, named_instance
@@ -320,6 +321,20 @@ def test_relpieces_output(capsys):
     assert code == 1 and "gamma" in err
 
 
+def test_relpieces_refuses_more_than_max_cells(capsys, tmp_path, monkeypatch):
+    # make_random(1) has 33 cells; its sub-instance at x=0, alpha=3, gamma=1
+    # has 81
+    path = tmp_path / "random1.json"
+    path.write_text(serialize_instance(make_random(1)))
+    argv = ["relpieces", "--instance", str(path), "--x", "0", "--level", "3", "--gamma", "1",
+            "--x2", "1", "--u", "1", "--v", "0"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(gspace, "MAX_CELLS", 80)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "81 cells; at most 80" in err
+
+
 def test_check_eventual_openness(capsys):
     code, out, _ = run(
         capsys, "check", "--instance", "z4coarse", "--kind", "eventual-openness"
@@ -424,6 +439,16 @@ def test_generate_stdout_and_file(capsys, tmp_path):
 
     code, _, err = run(capsys, "generate", "--template", "bogus")
     assert code == 1 and "unknown template" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "report"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_fewer_than_one_trial_is_refused(capsys, command, trials):
+    for suite in ("all", "vb", "locsat", "hist", "phar", "subs"):
+        code, out, err = run(capsys, command, "--instance", "z4pairs", "--suite", suite,
+                             "--trials", trials)
+        assert code == 1 and out == ""
+        assert err == "error: trials must be >= 1\n"
 
 
 def test_report_document(capsys, tmp_path):

@@ -137,8 +137,9 @@ def test_cell_bound_counts_the_closed_families(monkeypatch):
     monkeypatch.setattr(gspace, "MAX_CELLS", 9)
     with pytest.raises(InstanceError, match="5 U-members and 2 V-members, 10 cells; at most 9"):
         build_instance(inst.group, 4, inst.act, seedsU, seedsV, "exploratory")
-    # families taken verbatim are not re-closed, so not bounded
-    instance_from_families(inst.group, 4, inst.act, inst.basisU, inst.basisV, "exploratory")
+    # families taken verbatim are not re-closed, but bounded the same way
+    with pytest.raises(InstanceError, match="5 U-members and 2 V-members, 10 cells; at most 9"):
+        instance_from_families(inst.group, 4, inst.act, inst.basisU, inst.basisV, "exploratory")
 
 
 def test_make_coset_action_is_transitive():

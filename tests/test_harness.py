@@ -148,6 +148,20 @@ def test_run_oracles_unknown_suite():
         run_oracles(inst, suite="nope")
 
 
+def test_fewer_than_one_trial_is_refused_before_any_work(monkeypatch):
+    inst = named_instance("z4pairs")
+
+    def no_analysis(*_):
+        raise AssertionError("analyze ran")
+
+    monkeypatch.setattr(harness, "analyze", no_analysis)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            build_analysis(inst, trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_oracles(inst, trials=trials)
+
+
 def test_vaught_runs_clean_past_the_old_cap():
     # the subgroup law runs on drawn subgroups, so no group is refused; these
     # regular actions have 12 to 21 classes {g, g^-1}, Z40 and D14 past the

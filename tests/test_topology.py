@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitpieces.bits import is_subset, to_list, universe
-from orbitpieces.gspace import NAMED_INSTANCES, make_random, named_instance, orbit
+from orbitpieces import gspace
+from orbitpieces.gspace import NAMED_INSTANCES, InstanceError, make_random, named_instance, orbit
 from orbitpieces.scott import STABLE, analyze, piece
 from orbitpieces.topology import (
     generate_topology,
@@ -246,3 +247,13 @@ def test_open_map_matches_minimal_neighborhood_singletons(seed, data):
         assert witness is None and not failing
     else:
         assert witness == failing[0]
+
+
+def test_relative_pieces_refuses_more_than_max_cells(monkeypatch):
+    # the refined family outgrows the parent's: 27 U-members and 3 V-members
+    # (81 cells) against the parent's 11 and 3 (33 cells)
+    table = analyze(make_random(1))
+    assert len(relative_pieces(table, 0, 3, 1, 1, 1, 0).sub_instance.basisU) == 27
+    monkeypatch.setattr(gspace, "MAX_CELLS", 80)
+    with pytest.raises(InstanceError, match="27 U-members and 3 V-members, 81 cells; at most 80"):
+        relative_pieces(table, 0, 3, 1, 1, 1, 0)
