@@ -801,6 +801,8 @@ def _suite_list(ctx: _Ctx):
     table = ctx.table
     U, V = ctx.U, ctx.V
 
+    grp = inst.group
+
     for u_idx, v_idx, u, v in ctx.cells(ctx.trials):
         n = ctx.rng.randrange(len(U))
         if not U[n] & u:
@@ -810,24 +812,22 @@ def _suite_list(ctx: _Ctx):
         alpha = ctx.rng.randrange(1, table.stabilization + 1)
         sat = saturate(inst, piece(table, x, n, m, alpha), u, v)
         for y in bits(sat):
-            found = False
-            for i in U.subsets[n]:
-                ui = U[i]
-                for h in bits(reach_common(inst, ui, u, v)):
-                    hui = translate_set(inst, ui, h)
-                    if not hui >> y & 1:
-                        continue
-                    j = U.index(hui)
-                    m2 = V.index(conjugate(V[m], h, inst.group))
-                    if is_subset(piece(table, y, j, m2, alpha), sat):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            # the piece of y at some translated sub-cell (hU_i, hV_m) inside sat
+            if not any(
+                is_subset(piece(table, y, U.index(hui), V.index(conjugate(V[m], h, grp)), alpha), sat)
+                for i in U.subsets[n]
+                for h in bits(reach_common(inst, U[i], u, v))
+                if (hui := translate_set(inst, U[i], h)) >> y & 1
+            ):
                 ctx.fail("list", "surrounding-piece", (u_idx, v_idx), severity=ctx.sev,
                          source_cell=[n, m], x=x, y=y, alpha=alpha)
                 break
+
+
+def _cells_under(ctx: _Ctx, y: int, hu: int, hv: int) -> list[tuple[int, int]]:
+    """The cells (j, m2) with y ∈ U_j ⊆ hu and V_m2 ⊆ hv, in index order."""
+    ms = [m2 for m2, vm2 in enumerate(ctx.V) if is_subset(vm2, hv)]
+    return [(j, m2) for j, uj in enumerate(ctx.U) if uj >> y & 1 and is_subset(uj, hu) for m2 in ms]
 
 
 def _suite_translate(ctx: _Ctx):
@@ -842,15 +842,10 @@ def _suite_translate(ctx: _Ctx):
         alpha = ctx.rng.randrange(1, table.stabilization + 2)
         beta = ctx.rng.randrange(1, alpha + 1)
         translated = translate_set(inst, piece(table, x, n, m, beta), h)
-        for j, uj in enumerate(ctx.U):
-            if not (uj >> hx & 1 and is_subset(uj, hu)):
-                continue
-            for m2, vm2 in enumerate(ctx.V):
-                if not is_subset(vm2, hv):
-                    continue
-                if not is_subset(piece(table, hx, j, m2, alpha), translated):
-                    ctx.fail("translate", "h-translate-containment", (n, m), severity=ctx.sev,
-                             x=x, h=h, alpha=alpha, beta=beta, inner_cell=[j, m2])
+        for j, m2 in _cells_under(ctx, hx, hu, hv):
+            if not is_subset(piece(table, hx, j, m2, alpha), translated):
+                ctx.fail("translate", "h-translate-containment", (n, m), severity=ctx.sev,
+                         x=x, h=h, alpha=alpha, beta=beta, inner_cell=[j, m2])
 
     for n, m, u, v, x in ctx.cell_points(ctx.trials):
         h = ctx.rng.randrange(inst.group.order)
@@ -859,17 +854,8 @@ def _suite_translate(ctx: _Ctx):
         hu = translate_set(inst, u, h)
         hv = conjugate(v, h, inst.group)
         for y in bits(hb):
-            found = False
-            for j, uj in enumerate(ctx.U):
-                if not (uj >> y & 1 and is_subset(uj, hu)):
-                    continue
-                for m2, vm2 in enumerate(ctx.V):
-                    if is_subset(vm2, hv) and is_subset(piece(table, y, j, m2, alpha), hb):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            if not any(is_subset(piece(table, y, j, m2, alpha), hb)
+                       for j, m2 in _cells_under(ctx, y, hu, hv)):
                 ctx.fail("translate", "translated-piece-cover", (n, m), severity=ctx.sev,
                          x=x, h=h, alpha=alpha, y=y)
                 break
@@ -942,15 +928,9 @@ def _suite_subs(ctx: _Ctx):
             fam_one = list(ctx.U)
         else:
             orb = orbit(inst, x)
-            fam_one = []
-            seen = set()
-            for ci, (n, m) in enumerate(table.cells):
-                pts = orb & ctx.U[n]
-                for y in bits(pts):
-                    p = piece(table, y, n, m, beta)
-                    if p not in seen:
-                        seen.add(p)
-                        fam_one.append(p)
+            fam_one = list(dict.fromkeys(
+                piece(table, y, n, m, beta) for n, m in table.cells for y in bits(orb & ctx.U[n])
+            ))
         t_all = generate_topology(ground, fam_all)
         t_one = generate_topology(ground, fam_one)
         if t_all != t_one:
