@@ -799,9 +799,7 @@ def _suite_vb(ctx: _Ctx):
 def _suite_list(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    U, V = ctx.U, ctx.V
-
-    grp = inst.group
+    U, V, grp = ctx.U, ctx.V, inst.group
 
     for u_idx, v_idx, u, v in ctx.cells(ctx.trials):
         n = ctx.rng.randrange(len(U))
