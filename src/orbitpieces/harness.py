@@ -304,9 +304,10 @@ class _Ctx:
 
     def cells(self, k: int):
         """k drawn cells as (n, m, U_n, V_m), each drawn when the loop reaches it."""
+        U, V = self.U.members, self.V.members
         for _ in range(k):
             n, m = self.cell()
-            yield n, m, self.U[n], self.V[m]
+            yield n, m, U[n], V[m]
 
     def cell_points(self, k: int):
         """``cells(k)`` without the cells whose U_n is empty, each with a point
@@ -799,33 +800,34 @@ def _suite_vb(ctx: _Ctx):
 def _suite_list(ctx: _Ctx):
     inst = ctx.inst
     table = ctx.table
-    U, V, grp = ctx.U, ctx.V, inst.group
 
     for u_idx, v_idx, u, v in ctx.cells(ctx.trials):
-        n = ctx.rng.randrange(len(U))
-        if not U[n] & u:
+        n = ctx.rng.randrange(len(ctx.U))
+        if not ctx.U[n] & u:
             continue
-        x = ctx.point_in(U[n] & u)
-        m = ctx.rng.randrange(len(V))
+        x = ctx.point_in(ctx.U[n] & u)
+        m = ctx.rng.randrange(len(ctx.V))
         alpha = ctx.rng.randrange(1, table.stabilization + 1)
         sat = saturate(inst, piece(table, x, n, m, alpha), u, v)
         for y in bits(sat):
-            # the piece of y at some translated sub-cell (hU_i, hV_m) inside sat
-            if not any(
-                is_subset(piece(table, y, U.index(hui), V.index(conjugate(V[m], h, grp)), alpha), sat)
-                for i in U.subsets[n]
-                for h in bits(reach_common(inst, U[i], u, v))
-                if (hui := translate_set(inst, U[i], h)) >> y & 1
-            ):
+            found = False
+            for i in ctx.U.subsets[n]:
+                ui = ctx.U[i]
+                for h in bits(reach_common(inst, ui, u, v)):
+                    hui = translate_set(inst, ui, h)
+                    if not hui >> y & 1:
+                        continue
+                    j = ctx.U.index(hui)
+                    m2 = ctx.V.index(conjugate(ctx.V[m], h, inst.group))
+                    if is_subset(piece(table, y, j, m2, alpha), sat):
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
                 ctx.fail("list", "surrounding-piece", (u_idx, v_idx), severity=ctx.sev,
                          source_cell=[n, m], x=x, y=y, alpha=alpha)
                 break
-
-
-def _cells_under(ctx: _Ctx, y: int, hu: int, hv: int) -> list[tuple[int, int]]:
-    """The cells (j, m2) with y ∈ U_j ⊆ hu and V_m2 ⊆ hv, in index order."""
-    ms = [m2 for m2, vm2 in enumerate(ctx.V) if is_subset(vm2, hv)]
-    return [(j, m2) for j, uj in enumerate(ctx.U) if uj >> y & 1 and is_subset(uj, hu) for m2 in ms]
 
 
 def _suite_translate(ctx: _Ctx):
@@ -840,10 +842,15 @@ def _suite_translate(ctx: _Ctx):
         alpha = ctx.rng.randrange(1, table.stabilization + 2)
         beta = ctx.rng.randrange(1, alpha + 1)
         translated = translate_set(inst, piece(table, x, n, m, beta), h)
-        for j, m2 in _cells_under(ctx, hx, hu, hv):
-            if not is_subset(piece(table, hx, j, m2, alpha), translated):
-                ctx.fail("translate", "h-translate-containment", (n, m), severity=ctx.sev,
-                         x=x, h=h, alpha=alpha, beta=beta, inner_cell=[j, m2])
+        for j, uj in enumerate(ctx.U.members):
+            if not (uj >> hx & 1 and is_subset(uj, hu)):
+                continue
+            for m2, vm2 in enumerate(ctx.V.members):
+                if not is_subset(vm2, hv):
+                    continue
+                if not is_subset(piece(table, hx, j, m2, alpha), translated):
+                    ctx.fail("translate", "h-translate-containment", (n, m), severity=ctx.sev,
+                             x=x, h=h, alpha=alpha, beta=beta, inner_cell=[j, m2])
 
     for n, m, u, v, x in ctx.cell_points(ctx.trials):
         h = ctx.rng.randrange(inst.group.order)
@@ -852,8 +859,17 @@ def _suite_translate(ctx: _Ctx):
         hu = translate_set(inst, u, h)
         hv = conjugate(v, h, inst.group)
         for y in bits(hb):
-            if not any(is_subset(piece(table, y, j, m2, alpha), hb)
-                       for j, m2 in _cells_under(ctx, y, hu, hv)):
+            found = False
+            for j, uj in enumerate(ctx.U.members):
+                if not (uj >> y & 1 and is_subset(uj, hu)):
+                    continue
+                for m2, vm2 in enumerate(ctx.V.members):
+                    if is_subset(vm2, hv) and is_subset(piece(table, y, j, m2, alpha), hb):
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
                 ctx.fail("translate", "translated-piece-cover", (n, m), severity=ctx.sev,
                          x=x, h=h, alpha=alpha, y=y)
                 break
