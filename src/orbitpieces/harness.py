@@ -496,8 +496,8 @@ def _suite_vaught(ctx: _Ctx):
                 ctx.fail("vaught", "subgroup-delta-saturation", None, K=to_list(k), A=to_list(a))
 
     # reach sets repeat across stages and points once they stop growing; the
-    # memos key on (A, reach set) and last the whole run, since making a
-    # cache takes about 5 µs and a cache per trial was 1.5% of the suites
+    # memos key on (A, reach set) and last the whole run: making a cache takes
+    # about 5 µs, and one per trial cost 1.5% of all suites on the corpus
     delta_of = cache(partial(delta, inst))
     star_of = cache(partial(star, inst))
     for n, m, u, v in ctx.cells(t):
