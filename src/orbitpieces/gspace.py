@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 
 from .algebra import (
@@ -62,27 +62,32 @@ class ActionInstance:
     basisV: SetFamily
     mode: str
     name: str = ""
+    _orbits: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def full_points(self) -> int:
         return universe(self.size)
 
-    @cached_property
+    @property
     def orbits(self) -> tuple[int, ...]:
         """The G-orbit mask of every point, ``orbits[x]`` = G·x.
 
-        Built on first use, one column scan of the action table per orbit:
+        Built on first read, one column scan of the action table per orbit:
         the orbit of x is read off column x and stored for all its points.
+        It is kept in a declared field, since a key added to the instance
+        dict after construction would slow every later attribute read.
         """
-        out = [0] * self.size
-        for x in range(self.size):
-            if not out[x]:
-                m = 0
-                for row in self.act:
-                    m |= 1 << row[x]
-                for p in to_list(m):
-                    out[p] = m
-        return tuple(out)
+        if self._orbits is None:
+            out = [0] * self.size
+            for x in range(self.size):
+                if not out[x]:
+                    m = 0
+                    for row in self.act:
+                        m |= 1 << row[x]
+                    for p in to_list(m):
+                        out[p] = m
+            object.__setattr__(self, "_orbits", tuple(out))
+        return self._orbits
 
 
 def translate_set(inst: ActionInstance, a: int, g: int) -> int:
@@ -146,23 +151,35 @@ def _translates(rows):
     return images
 
 
-def _check_strict(size: int, basisU: SetFamily, basisV: SetFamily) -> None:
-    membersU = set(basisU.members)
-    for x in range(size):
-        if (1 << x) not in membersU:
-            raise InstanceError(f"strict mode: singleton {{{x}}} missing from basisU")
-    if 1 not in set(basisV.members):
-        raise InstanceError("strict mode: {identity} missing from basisV")
+def _checked_rows(group: Group, size: int, act, mode: str) -> tuple[tuple[int, ...], ...]:
+    """Refuse an unknown mode, then validate the action; return its rows."""
+    if mode not in MODES:
+        raise InstanceError(f"unknown mode {mode!r}")
+    return _validate_action(group, size, act)
 
 
-def _check_cells(basisU: SetFamily, basisV: SetFamily) -> None:
-    """Refuse families with more than ``MAX_CELLS`` cells |𝒰|·|𝒱|."""
+def _assemble(group: Group, size: int, rows, basisU: SetFamily, basisV: SetFamily,
+              mode: str, name: str) -> ActionInstance:
+    """The instance over checked rows and closed families.
+
+    Families with more than ``MAX_CELLS`` cells |𝒰|·|𝒱| are refused, and in
+    strict mode every singleton {x} must be a U-member and {identity} a
+    V-member.
+    """
     cells = len(basisU) * len(basisV)
     if cells > MAX_CELLS:
         raise InstanceError(
             f"the families have {len(basisU)} U-members and {len(basisV)} V-members, "
             f"{cells} cells; at most {MAX_CELLS} are accepted"
         )
+    if mode == "strict":
+        membersU = set(basisU.members)
+        for x in range(size):
+            if (1 << x) not in membersU:
+                raise InstanceError(f"strict mode: singleton {{{x}}} missing from basisU")
+        if 1 not in basisV.members:
+            raise InstanceError("strict mode: {identity} missing from basisV")
+    return ActionInstance(group, size, rows, basisU, basisV, mode, name)
 
 
 def build_instance(
@@ -180,15 +197,10 @@ def build_instance(
     and G to the V-family, so the top pair (X, G) is always addressable.
     Families closing to more than ``MAX_CELLS`` cells |𝒰|·|𝒱| are refused.
     """
-    if mode not in MODES:
-        raise InstanceError(f"unknown mode {mode!r}")
-    rows = _validate_action(group, size, act)
+    rows = _checked_rows(group, size, act, mode)
     basisU = close_family(seedsU, _translates(rows), universe(size))
     basisV = close_neighborhood_family(seedsV, group)
-    _check_cells(basisU, basisV)
-    if mode == "strict":
-        _check_strict(size, basisU, basisV)
-    return ActionInstance(group, size, rows, basisU, basisV, mode, name)
+    return _assemble(group, size, rows, basisU, basisV, mode, name)
 
 
 def instance_from_families(
@@ -208,9 +220,7 @@ def instance_from_families(
     translation-closed, and a violation is an internal error.  Families with
     more than ``MAX_CELLS`` cells are refused, as by ``build_instance``.
     """
-    if mode not in MODES:
-        raise InstanceError(f"unknown mode {mode!r}")
-    rows = _validate_action(group, size, act)
+    rows = _checked_rows(group, size, act, mode)
     membersU = tuple(membersU)
     membersV = tuple(membersV)
     if not membersU or membersU[-1] != universe(size):
@@ -219,14 +229,11 @@ def instance_from_families(
         raise InstanceError("V-family must end with the full group")
     if len(set(membersU)) != len(membersU) or len(set(membersV)) != len(membersV):
         raise InstanceError("families must be duplicate-free")
-    basisU = SetFamily(membersU)
-    basisV = SetFamily(membersV)
-    _check_cells(basisU, basisV)
+    inst = _assemble(group, size, rows, SetFamily(membersU), SetFamily(membersV), mode, name)
     if mode == "strict":
-        _check_strict(size, basisU, basisV)
         if len(close_family(membersU, _translates(rows), universe(size))) != len(membersU):
             raise RuntimeError("relativized U-family is not translation-closed")
-    return ActionInstance(group, size, rows, basisU, basisV, mode, name)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -360,92 +367,66 @@ def make_random(seed: int, strict: bool = False) -> ActionInstance:
 
     The group has order at most 8 and the space 2-12 points (2-8 when
     strict): a disjoint union of coset actions (subgroups drawn at random,
-    so fixed points and regular blocks both occur).  Seeds are dropped
-    deterministically until the closed families have at most 24 U-members
-    and 6 V-members.
+    so fixed points and regular blocks both occur).  Seeds are dropped from
+    the end until the closed families have at most 24 U-members and 6
+    V-members; strict singletons and {identity} alone always fit, so only a
+    strict instance's one extra seed can be dropped.
     """
     rng = random.Random(f"orbitpieces:{seed}:{int(strict)}")
     group = rng.choice(_group_catalogue(8))()
     order = group.order
     subgroups = all_subgroups(group)
 
+    # G itself is a subgroup with one coset, so some block always fits
     target = rng.randint(2, 8 if strict else 12)
-    blocks: list[list[list[int]]] = []
+    act: list[list[int]] = [[] for _ in range(order)]
     size = 0
     while size < target:
-        room = target - size
-        options = [h for h in subgroups if order // h.bit_count() <= room]
-        if not options:
-            break
-        block = _coset_rows(group, rng.choice(options))
-        blocks.append(block)
+        fits = [h for h in subgroups if order // h.bit_count() <= target - size]
+        block = _coset_rows(group, rng.choice(fits))
+        for row, block_row in zip(act, block):
+            row += [size + v for v in block_row]
         size += len(block[0])
-    if not blocks:
-        blocks.append([[0] for _ in range(order)])
-        size = 1
-    act = []
-    for g in range(order):
-        row: list[int] = []
-        off = 0
-        for b in blocks:
-            row += [off + v for v in b[g]]
-            off += len(b[0])
-        act.append(row)
 
-    full = universe(size)
-
-    def random_point_set(max_sz: int) -> int:
-        k = rng.randint(1, max_sz)
-        return mask_of(rng.sample(range(size), min(k, size)))
+    def random_point_set(max_sz: int) -> int:  # max_sz <= size, as size >= 2
+        return mask_of(rng.sample(range(size), rng.randint(1, max_sz)))
 
     if strict:
         seedsU = [1 << x for x in range(size)]
         if rng.random() < 0.4:
-            extra = random_point_set(max(2, size // 2))
-            trial = close_family(seedsU + [extra], _translates(act), full)
-            if len(trial) <= 24:
-                seedsU.append(extra)
+            seedsU.append(random_point_set(max(2, size // 2)))
         seedsV = [1]
         if rng.random() < 0.5:
-            extra_v = symmetric_closure(mask_of(rng.sample(range(order), 1)), group)
-            trial_v = close_neighborhood_family(seedsV + [extra_v], group)
-            if len(trial_v) <= 6:
-                seedsV.append(extra_v)
+            seedsV.append(symmetric_closure(mask_of(rng.sample(range(order), 1)), group))
         mode = "strict"
     else:
-        seedsU = []
-        for _ in range(rng.randint(1, 3)):
-            seedsU.append(random_point_set(max(2, size // 2)))
-        while True:
-            trial = close_family(seedsU, _translates(act), full)
-            if len(trial) <= 24 or not seedsU:
-                break
-            seedsU.pop()
-        seedsV = []
-        for _ in range(rng.randint(1, 2)):
-            seedsV.append(symmetric_closure(mask_of(rng.sample(range(order), rng.randint(1, 2))), group))
-        while True:
-            trial_v = close_neighborhood_family(seedsV, group)
-            if len(trial_v) <= 6 or not seedsV:
-                break
-            seedsV.pop()
+        seedsU = [random_point_set(max(2, size // 2)) for _ in range(rng.randint(1, 3))]
+        seedsV = [
+            symmetric_closure(mask_of(rng.sample(range(order), rng.randint(1, 2))), group)
+            for _ in range(rng.randint(1, 2))
+        ]
         mode = "exploratory"
 
+    rows = _checked_rows(group, size, act, mode)
+    while len(basisU := close_family(seedsU, _translates(rows), universe(size))) > 24:
+        seedsU.pop()
+    while len(basisV := close_neighborhood_family(seedsV, group)) > 6:
+        seedsV.pop()
     label = f"strict{seed}" if strict else f"random{seed}"
-    return build_instance(group, size, act, seedsU, seedsV, mode, label)
+    return _assemble(group, size, rows, basisU, basisV, mode, label)
+
+
+_NAMED = {
+    "z4self": partial(make_cyclic_self, 4),
+    "swapfix": make_swap_fix,
+    "z4coarse": make_z4_coarse,
+    "z4pairs": make_z4_pairs,
+}
+NAMED_INSTANCES = tuple(_NAMED)
 
 
 def named_instance(key: str) -> ActionInstance:
     """The four built-in instances used throughout the docs and tests."""
-    builders = {
-        "z4self": partial(make_cyclic_self, 4),
-        "swapfix": make_swap_fix,
-        "z4coarse": make_z4_coarse,
-        "z4pairs": make_z4_pairs,
-    }
-    if key not in builders:
+    if key not in _NAMED:
         raise InstanceError(f"unknown instance name {key!r}")
-    return builders[key]()
-
-
-NAMED_INSTANCES = ("z4self", "swapfix", "z4coarse", "z4pairs")
+    return _NAMED[key]()

@@ -48,6 +48,7 @@ from .bits import bits, is_subset, mask_of, to_list
 from .classify import classification_report
 from .gspace import (
     ActionInstance,
+    InstanceError,
     build_instance,
     named_instance,
     NAMED_INSTANCES,
@@ -395,18 +396,18 @@ def _suite_locsat(ctx: _Ctx):
             ctx.fail("locsat", "orbit-reach-decomposition", (n, m), x=x,
                      U2=to_list(u2), V2=to_list(v2))
 
-    for f in range(inst.group.order):
-        for n, m, u, v in ctx.cells(max(2, t // 4)):
-            a = ctx.point_set()
-            lhs = translate_set(inst, saturate(inst, a, u, v), f)
-            rhs = saturate(
-                inst,
-                translate_set(inst, a, f),
-                translate_set(inst, u, f),
-                conjugate(v, f, inst.group),
-            )
-            if lhs != rhs:
-                ctx.fail("locsat", "saturate-equivariance", (n, m), f=f, A=to_list(a))
+    for n, m, u, v in ctx.cells(t):
+        f = ctx.rng.randrange(inst.group.order)
+        a = ctx.point_set()
+        lhs = translate_set(inst, saturate(inst, a, u, v), f)
+        rhs = saturate(
+            inst,
+            translate_set(inst, a, f),
+            translate_set(inst, u, f),
+            conjugate(v, f, inst.group),
+        )
+        if lhs != rhs:
+            ctx.fail("locsat", "saturate-equivariance", (n, m), f=f, A=to_list(a))
 
     for n, m, u, v, x in ctx.cell_points(t):
         img = act_image(inst, 1 << x, reach_sets(inst, x, u, v))
@@ -912,7 +913,12 @@ def _suite_subs(ctx: _Ctx):
         x2 = ctx.point_in(candidates)
         try:
             rel = relative_pieces(table, x, alpha, gamma, x2, u_idx, v_idx)
-        except ValueError:
+        except InstanceError as err:
+            # refused for its cell count: logged, and not counted as tried
+            ctx.fail("subs", "relative-instance-refused", (u_idx, v_idx), severity="report",
+                     x=x, x2=x2, alpha=alpha, gamma=gamma, reason=str(err))
+            continue
+        except ValueError:  # D empty or missing from the relative family
             continue
         tried += 1
         betas = list(range(0, table.stabilization + 2)) + [STABLE]
@@ -1042,18 +1048,13 @@ def build_analysis(
                 }
             )
         levels.append({"level": lvl, "cells": cells})
-    used = {pid for data in table.levels for blocks in data for pid, _ in blocks}
     log = run_oracles(inst, suite, seed=seed, trials=trials, table=table)
     return {
         "schema": ANALYSIS_SCHEMA,
         "instance": instance_to_dict(inst),
         "stabilization": table.stabilization,
         "levels": levels,
-        "signatures": {
-            pid: _signature_entry(sig)
-            for pid, sig in sorted(table.signatures.items())
-            if pid in used
-        },
+        "signatures": {pid: _signature_entry(sig) for pid, sig in sorted(table.signatures.items())},
         "ranks": [scott_rank(table, x) for x in range(inst.size)],
         "stable_partition": [to_list(b) for b in stable_partition(table)],
         "classification": classification_report(inst, table, seed=seed),

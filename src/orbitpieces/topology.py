@@ -151,14 +151,12 @@ def open_map_check(table: PieceTable, x: int, alpha) -> tuple[bool, int | None]:
 class RelativeAnalysis:
     """A re-analyzed subspace, with translations back to parent coordinates."""
 
-    parent: ActionInstance
     sub_instance: ActionInstance
     sub_table: PieceTable
     parent_points: tuple[int, ...]  # sub index -> parent point
     ground: int                     # the top-cell piece of x, parent coordinates
     d_parent: int                   # the distinguished member D, parent coordinates
     d_index: int                    # U-index of D in the sub family
-    v_index: int                    # V-index (shared family) used to build D
 
     def to_parent(self, mask: int) -> int:
         out = 0
@@ -239,6 +237,4 @@ def relative_pieces(
         raise ValueError(
             "distinguished set D is empty or missing from the relative family"
         ) from None
-    return RelativeAnalysis(
-        inst, sub, sub_table, pts, ground, d_parent, d_index, v_idx
-    )
+    return RelativeAnalysis(sub, sub_table, pts, ground, d_parent, d_index)

@@ -69,6 +69,16 @@ def test_translate_and_orbit():
     assert orbit(sw, 3) == 0b1000
 
 
+def test_orbit_table_is_a_field_filled_on_first_read():
+    # a key added to the instance dict on first read would slow every later
+    # attribute read of the instance
+    inst = make_random(1)
+    keys = set(vars(inst))
+    assert orbit(inst, 0) == inst.orbits[0]
+    assert set(vars(inst)) == keys
+    assert type(inst.orbits) is tuple and len(inst.orbits) == inst.size
+
+
 def test_action_validation_messages():
     g = cyclic_group(2)
     with pytest.raises(InstanceError, match="is not a permutation"):

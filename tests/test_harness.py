@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitpieces import harness, saturation
+from orbitpieces import gspace, harness, saturation
 from orbitpieces.algebra import (
+    all_subgroups,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -370,9 +371,11 @@ def test_canonical_json_refuses_floats_and_non_str_keys():
 
 # tools/oracle_draws.py on its tier-1 slice, recorded before the suites were
 # last rewritten: each suite's log and generator state on 28 instances ×
-# seeds {0, 3} × trials {4, 16}
+# seeds {0, 3} × trials {4, 16}; locsat since it draws one equivariance
+# element per cell, and the slice's instance documents since before instance
+# construction was last rewritten
 PINNED_DRAWS = {
-    "locsat": "3a0f5e427a7d4a8f879d5cadda602a7f87b962c6e7a4e6e3f27e4f21b254220a",
+    "locsat": "3340f64f57de71d001c0ee063afdde21d64abab82dd0adae0e22b0f243858e8a",
     "bH": "72237391828a3e0d8153c0be24c43b2ecf53082ca6e4042b39492171b3bc5fa1",
     "vaught": "8013a918d9a642b1a97650d8262da80b93dd3243a2bb6c43fecc2c1aedae390e",
     "hist": "3191119ebc9d2821d0a525a5617505006b14cf07765e8e073d5128f3f28b16cb",
@@ -382,16 +385,53 @@ PINNED_DRAWS = {
     "translate": "4a230e27d2ecbfa010a6e601358dcba553e06ef47efaa29c47111beda6880093",
     "orb": "8ea214606cbbc7ab15e381fc178e7528cd1377010750290b460f1666499c88e5",
     "subs": "24c75ed2fd5db370fd69f1b328cacb76ca50b3e72769851358c3393acc0442fa",
+    "instances": "02e4e09884325f59151cedf7ef30a903fe790c26dbfb793ece813c3e90ee96e5",
 }
+
+
+def _draw_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "oracle_draws.py"
+    spec = importlib.util.spec_from_file_location("tools_oracle_draws", path)
+    tool = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tool
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_suite_draws_are_pinned():
     # an added, dropped or resized draw moves the generator state after the
     # suite, and a reorder in a suite that logs entries moves its log; a pure
     # reorder in a suite whose log stays empty shows in neither
-    path = Path(__file__).resolve().parents[1] / "tools" / "oracle_draws.py"
-    spec = importlib.util.spec_from_file_location("tools_oracle_draws", path)
-    tool = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tool
-    spec.loader.exec_module(tool)
-    assert tool.digests() == PINNED_DRAWS
+    assert _draw_tool().digests() == PINNED_DRAWS
+
+
+def test_every_signature_names_a_stored_block():
+    # build_analysis writes every signature, so each id must name a block of
+    # a stored level
+    for inst in _draw_tool().instances():
+        table = harness.analyze(inst)
+        stored = {pid for data in table.levels for blocks in data for pid, _ in blocks}
+        assert set(table.signatures) == stored, inst.name
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), dihedral_group(4), cyclic_group(40)])
+def test_locsat_draws_one_equivariance_element_per_cell(monkeypatch, group):
+    # the equivariance check conjugates V once per drawn cell, whatever |G|
+    half = next(h for h in all_subgroups(group) if 2 * h.bit_count() == group.order)
+    inst = make_coset_action(group, half)
+    calls = []
+    real = harness.conjugate
+    monkeypatch.setattr(harness, "conjugate", lambda v, h, g: calls.append(h) or real(v, h, g))
+    run_oracles(inst, "locsat", trials=8)
+    assert len(calls) == 8
+
+
+def test_subs_logs_refused_sub_instances(monkeypatch):
+    # a sub-instance refused for its cell count is a report entry naming the
+    # drawn tuple, not a silent skip
+    monkeypatch.setattr(gspace, "MAX_CELLS", 40)
+    log = run_oracles(make_random(1), "subs", trials=16)
+    assert len(log) == 14
+    for entry in log:
+        assert (entry["check"], entry["severity"]) == ("relative-instance-refused", "report")
+        assert {"x", "x2", "alpha", "gamma"} <= set(entry["witness"])

@@ -11,7 +11,9 @@ fresh context, reseeded as ``run_oracles`` reseeds it.  The suite's log, in
 the order its entries were appended, and the state of its generator after it
 are hashed into that suite's digest.  One line per suite is printed,
 ``<suite> <sha256>``, so two trees whose outputs differ name the suites that
-draw or check differently.
+draw or check differently.  A last line, ``instances <sha256>``, hashes the
+``serialize_instance`` document of every instance of the slice, so a change
+to how instances are built shows apart from the suites.
 
 The state after a suite catches an added, dropped or resized draw; the log
 catches a reorder in a suite that logs entries.  A pure reorder of draws in
@@ -44,9 +46,12 @@ def instances(large: bool = False):
 
 
 def digests(large: bool = False) -> dict[str, str]:
-    """The digest of every suite over the slice, keyed by suite token."""
+    """The digest of every suite over the slice, keyed by suite token, and of
+    the slice's instance documents, keyed ``instances``."""
     hashes = {token: hashlib.sha256() for token in harness.SUITES}
+    documents = hashlib.sha256()
     for inst in instances(large):
+        documents.update(harness.serialize_instance(inst).encode())
         table = analyze(inst)
         for seed in SEEDS:
             for trials in TRIALS:
@@ -56,7 +61,9 @@ def digests(large: bool = False) -> dict[str, str]:
                     harness._SUITE_FUNCS[token](ctx)
                     h.update(json.dumps(ctx.entries, sort_keys=True).encode())
                     h.update(repr(ctx.rng.getstate()).encode())
-    return {token: h.hexdigest() for token, h in hashes.items()}
+    return {token: h.hexdigest() for token, h in hashes.items()} | {
+        "instances": documents.hexdigest()
+    }
 
 
 def main(argv=None) -> int:
