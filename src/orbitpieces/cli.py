@@ -11,11 +11,9 @@ import json
 import os
 import sys
 
-from .algebra import GroupError
 from .bits import bits, mask_of, to_list
 from .classify import classification_report, eventual_openness
 from .gspace import (
-    InstanceError,
     NAMED_INSTANCES,
     make_cyclic_self,
     make_random,
@@ -26,6 +24,7 @@ from .harness import (
     DEFAULT_TRIALS,
     InstanceFormatError,
     build_analysis,
+    canonical_json,
     load_instance,
     run_oracles,
     serialize_analysis,
@@ -85,7 +84,7 @@ def _parse_level(text: str):
 
 def _emit(args, payload: dict, text_lines) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(canonical_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -331,7 +330,7 @@ def _cmd_oracle(args) -> int:
     inst = _instance(args)
     entries = run_oracles(inst, args.suite, seed=args.seed, trials=args.trials)
     if args.json:
-        print(json.dumps(entries, sort_keys=True, indent=2))
+        print(canonical_json(entries))
     else:
         if not entries:
             print("ok: empty log")
@@ -529,7 +528,7 @@ def main(argv=None) -> int:
         # so the interpreter's final flush does not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (InstanceFormatError, InstanceError, GroupError, ValueError) as exc:
+    except ValueError as exc:  # InstanceFormatError, InstanceError and GroupError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IndexError as exc:

@@ -63,6 +63,11 @@ class ActionInstance:
     mode: str
     name: str = ""
     _orbits: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    # the ``saturation`` memos, filled on demand: instances are immutable, so
+    # a memo lives exactly as long as its instance
+    _images: dict = field(default_factory=dict, repr=False, compare=False)
+    _reach: dict = field(default_factory=dict, repr=False, compare=False)
+    _partitions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def full_points(self) -> int:
@@ -292,27 +297,14 @@ def _coset_rows(group: Group, subgroup_mask: int) -> list[list[int]]:
     return [[coset_of[group.mul[g][r]] for r in reps] for g in range(group.order)]
 
 
-def make_coset_action(
-    group: Group,
-    subgroup_mask: int,
-    seedsU=None,
-    seedsV=None,
-    mode: str = "strict",
-    name: str = "",
-) -> ActionInstance:
-    """Left translation on the left cosets of a subgroup (``_coset_rows``).
-
-    The default seeds (all singletons, {identity}) give a strict instance.
-    """
+def make_coset_action(group: Group, subgroup_mask: int, name: str = "") -> ActionInstance:
+    """Left translation on the left cosets of a subgroup (``_coset_rows``),
+    strict, with the singletons and {identity} as seeds."""
     if not is_subgroup(subgroup_mask, group):
         raise InstanceError("subgroup mask is not a subgroup")
     act = _coset_rows(group, subgroup_mask)
     size = len(act[0])
-    if seedsU is None:
-        seedsU = [1 << x for x in range(size)]
-    if seedsV is None:
-        seedsV = [1]
-    return build_instance(group, size, act, seedsU, seedsV, mode, name)
+    return build_instance(group, size, act, [1 << x for x in range(size)], [1], "strict", name)
 
 
 def make_product(a: ActionInstance, b: ActionInstance) -> ActionInstance:

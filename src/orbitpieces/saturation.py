@@ -13,10 +13,10 @@ Both fixpoints are computed semi-naively: a round expands only what the round
 before it added, since everything reachable from older members is already in
 the current stage.  The stages, and so every finite depth and the limit, are
 the same as when the whole stage is expanded each round.  The reach stages of
-one (x, U, V) are computed once, up to the fixpoint, and memoised per
-instance as a list: any depth, the stage lists of ``reach_stages`` and the
-full set of ``cached_reach`` are read from it (depth 0 is {e} and any depth
-past the fixpoint is the last stage).
+one (x, U, V) are computed once, up to the fixpoint, and kept as a list: any
+depth, the stage lists of ``reach_stages`` and the full set of
+``cached_reach`` are read from it (depth 0 is {e} and any depth past the
+fixpoint is the last stage).
 
 A neighbourhood V is applied to many sets, so ``point_images`` tabulates it
 once per instance: ``nb[p] = V·p`` (or ``V⁻¹·p``) as one mask per point.  V·A
@@ -28,11 +28,17 @@ arbitrary element set H (``act_image`` here, ``translate_set`` in ``gspace``,
 repeated, list each operand's members once per call and index the action
 rows directly.  ``is_locally_invariant`` checks the table-based saturation
 against a one-step ``act_image``, so the two stay independent computations.
+
+Instances are immutable, so the three memos are fields of the instance
+(``ActionInstance._images``, ``_reach`` and ``_partitions``): the
+``point_images`` tables keyed by V (by ~V for V⁻¹), the reach-stage lists
+keyed by (x, U, V), and the ``orbit_partition`` tuples keyed by (U, V).  A
+memo lives exactly as long as its instance, and this module keeps no state.
 """
 
 from __future__ import annotations
 
-import weakref
+from types import SimpleNamespace
 
 from .bits import bits, image_mask, to_list, union_over
 from .gspace import ActionInstance
@@ -102,14 +108,11 @@ def _reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
 
 
 def _stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
-    """The memoised ``_reach_stages`` list of x ∈ U (see the per-instance caches)."""
-    table = _REACH_CACHE.get(inst)
-    if table is None:
-        table = _REACH_CACHE[inst] = {}
+    """The ``_reach_stages`` list of x ∈ U, memoised in ``inst._reach``."""
     key = (x, u, v)
-    got = table.get(key)
+    got = inst._reach.get(key)
     if got is None:
-        got = table[key] = _reach_stages(inst, x, u, v)
+        got = inst._reach[key] = _reach_stages(inst, x, u, v)
     return got
 
 
@@ -193,20 +196,12 @@ def group_coset_partition(inst: ActionInstance, x: int, u: int, v: int) -> list[
 
 
 # ---------------------------------------------------------------------------
-# per-instance caches
-#
-# The engine and the oracle suites evaluate local orbits and reach sets for
-# the same cells over and over, and apply the same neighbourhoods to many
-# sets; instances are immutable, so results are memoized in weak per-instance
-# tables.  ``_REACH_CACHE[inst][(x, u, v)]`` is the list of reach stages of
-# x ∈ U at depths 1..fixpoint, computed once; ``reach_sets`` at every depth,
-# ``reach_stages`` and ``cached_reach`` all index it.  Each table is read with
-# ``.get(inst)`` and created only on a miss, since ``setdefault`` on a
-# ``WeakKeyDictionary`` builds a weak reference with a callback on every call.
+# memos held in fields of the instance
 
-_ORBIT_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
-_REACH_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
-_IMAGE_CACHE: "weakref.WeakKeyDictionary[ActionInstance, dict]" = weakref.WeakKeyDictionary()
+# Read only by perfbench/tracer.py, which counts a miss as growth of
+# ``.get(inst)``; delete both with ROADMAP item 1a.
+_ORBIT_CACHE = SimpleNamespace(get=lambda inst, default=None: inst._partitions)
+_REACH_CACHE = SimpleNamespace(get=lambda inst, default=None: inst._reach)
 
 
 def point_images(inst: ActionInstance, v: int, inverse: bool = False) -> tuple[int, ...]:
@@ -215,9 +210,7 @@ def point_images(inst: ActionInstance, v: int, inverse: bool = False) -> tuple[i
     V·A is the OR of the table over the points of A (``bits.union_over``);
     delta(A, V) = {x : V·x meets A} is the same OR over the ``V⁻¹`` table.
     """
-    table = _IMAGE_CACHE.get(inst)
-    if table is None:
-        table = _IMAGE_CACHE[inst] = {}
+    table = inst._images
     key = ~v if inverse else v  # v >= 0, so the two kinds of key never meet
     got = table.get(key)
     if got is None:
@@ -235,9 +228,7 @@ def point_images(inst: ActionInstance, v: int, inverse: bool = False) -> tuple[i
 
 def orbit_partition(inst: ActionInstance, u: int, v: int) -> tuple[int, ...]:
     """The distinct local V_U-orbits inside U, ordered by least point."""
-    table = _ORBIT_CACHE.get(inst)
-    if table is None:
-        table = _ORBIT_CACHE[inst] = {}
+    table = inst._partitions
     key = (u, v)
     got = table.get(key)
     if got is not None:
@@ -255,14 +246,19 @@ def orbit_partition(inst: ActionInstance, u: int, v: int) -> tuple[int, ...]:
 
 
 def cached_reach(inst: ActionInstance, x: int, u: int, v: int) -> int:
-    """The full reach set ⟨V⟩ˣ_U, read from the per-instance stage memo."""
+    """The full reach set ⟨V⟩ˣ_U, read from the instance's stage memo."""
     return reach_sets(inst, x, u, v)
 
 
 def saturate_by_parts(inst: ActionInstance, a: int, u: int, v: int) -> int:
-    """Saturation as the union of the local orbits meeting A — the structural
-    shortcut used by the piece engine (the fixpoint route is the definition;
-    the oracle suite checks they agree)."""
+    """Saturation as the union of the local orbits meeting A, read from
+    ``orbit_partition``.
+
+    The fixpoint route (``saturate``) is the definition; the ``locsat`` check
+    ``saturate-orbit-union`` compares the two, and the ``phar`` intersection
+    formulas saturate through this one.  ``analyze`` reads ``orbit_partition``
+    itself.
+    """
     out = 0
     if a & u:
         for part in orbit_partition(inst, u, v):

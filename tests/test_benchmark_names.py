@@ -16,6 +16,7 @@ from pathlib import Path
 
 from orbitpieces import harness
 from orbitpieces.gspace import make_random
+from orbitpieces.saturation import cached_reach
 from orbitpieces.scott import analyze
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,15 +43,23 @@ def test_tracer_wraps_resolve_to_callables():
 
 
 def test_tracer_caches_are_read_per_instance():
+    # the tracer counts a miss as growth of cache.get(instance): each view
+    # reads 0 on a fresh instance and grows with the calls it is named for
     tracer = _load_tracer()
     spans = {span for span, _, _ in tracer.WRAPS}
+    assert set(tracer.CACHES) == {"saturation.orbit_partition", "saturation.cached_reach"}
+    assert set(tracer.CACHES) <= spans
     inst = make_random(7)
+
+    def sizes():
+        return {name: len(cache.get(inst, ())) for name, cache in tracer.CACHES.items()}
+
+    assert sizes() == {"saturation.orbit_partition": 0, "saturation.cached_reach": 0}
     analyze(inst)
-    assert tracer.CACHES
-    for name, cache in tracer.CACHES.items():
-        # the tracer counts a miss as growth of cache.get(instance)
-        assert name in spans
-        assert len(cache.get(inst, ())) >= 0
+    after_analyze = sizes()
+    assert after_analyze["saturation.orbit_partition"] > 0
+    cached_reach(inst, 0, inst.full_points, inst.group.full)
+    assert sizes()["saturation.cached_reach"] > after_analyze["saturation.cached_reach"]
 
 
 def test_analyze_accepts_the_benchmark_workers_keyword():

@@ -10,8 +10,17 @@ import pytest
 from orbitpieces import gspace
 from orbitpieces.algebra import group_from_generators, subgroup_closure
 from orbitpieces.cli import MAX_CYCLIC_ORDER, main
-from orbitpieces.gspace import MAX_CELLS, make_coset_action, make_cyclic_self, make_random, named_instance
-from orbitpieces.harness import parse_instance, serialize_instance
+from orbitpieces.classify import classification_report
+from orbitpieces.gspace import (
+    MAX_CELLS,
+    NAMED_INSTANCES,
+    make_coset_action,
+    make_cyclic_self,
+    make_random,
+    named_instance,
+)
+from orbitpieces.harness import parse_instance, run_oracles, serialize_instance
+from orbitpieces.scott import analyze
 
 
 def run(capsys, *argv):
@@ -418,6 +427,22 @@ def test_oracle_json_output(capsys):
     assert code == 0
     entries = json.loads(out)
     assert entries and all(e["severity"] == "report" for e in entries)
+
+
+def test_json_output_is_the_bytes_of_json_dumps(capsys):
+    # --json writes through canonical_json; stdout must be exactly what
+    # json.dumps(sort_keys=True, indent=2) makes of the same payload
+    def dumps(value):
+        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    for key in NAMED_INSTANCES:
+        inst = named_instance(key)
+        _, out, _ = run(capsys, "check", "--instance", key, "--kind", "claschar", "--json")
+        assert out == dumps(classification_report(inst, analyze(inst), seed=0)), key
+        _, out, _ = run(capsys, "oracle", "--instance", key, "--trials", "4", "--json")
+        assert out == dumps(run_oracles(inst, seed=0, trials=4)), key
+    _, out, _ = run(capsys, "oracle", "--instance", "z4pairs", "--suite", "list", "--json")
+    assert json.loads(out) and out == dumps(run_oracles(named_instance("z4pairs"), "list"))
 
 
 def test_generate_stdout_and_file(capsys, tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitpieces import gspace, harness, saturation
+from orbitpieces import gspace, harness
 from orbitpieces.algebra import (
     all_subgroups,
     cyclic_group,
@@ -260,22 +260,17 @@ def test_build_analysis_document():
 
 
 def test_per_instance_memos_are_released_with_the_instance():
-    # the saturation memos hold each instance weakly: once the caller drops
-    # the instance and its table, nothing of it stays behind
+    # the saturation memos are fields of the instance: an oracle run fills
+    # them, and once the caller drops the instance and its table nothing of
+    # it stays behind
     inst = parse_instance(serialize_instance(make_random(4)))
     table = harness.analyze(inst)
     assert not any(e["severity"] == "assert" for e in run_oracles(inst, table=table))
-    caches = (saturation._IMAGE_CACHE, saturation._ORBIT_CACHE, saturation._REACH_CACHE)
-    assert all(inst in cache for cache in caches)
+    assert inst._images and inst._reach and inst._partitions
     ref = weakref.ref(inst)
-    # instances other tests dropped (or a failing test's traceback kept) go
-    # first, so the count below moves by this instance alone
-    gc.collect()
-    before = [len(cache) for cache in caches]
     del inst, table
     gc.collect()
     assert ref() is None
-    assert [len(cache) for cache in caches] == [n - 1 for n in before]
 
 
 def test_delta_star_duality_reads_the_padded_star_loop(monkeypatch):

@@ -40,7 +40,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitpieces import saturation
 from orbitpieces.algebra import (
     Group,
     GroupError,
@@ -364,7 +363,7 @@ def test_reach_memo_answers_depths_in_any_order(none_first):
     # or last.
     rng = random.Random(f"reach-order:{none_first}")
     for inst in _fresh_instances():
-        assert inst not in saturation._REACH_CACHE
+        assert not inst._reach
         for u in inst.basisU:
             k = u.bit_count()
             inside = [y for y in range(inst.size) if u >> y & 1]
