@@ -76,30 +76,16 @@ def generating_set(mul) -> list[int]:
 
     Elements are picked greedily in index order: each pick is the least
     element not yet reached from the identity by right multiplication by the
-    earlier picks, and the reached set is then closed again.  Every element
-    is therefore a left-nested product (((e·s₁)·s₂)·…) of picks, whether or
-    not the table is associative.
+    earlier picks, and the reached set is then closed again under every pick
+    so far (``_closure``).  Every element is therefore a left-nested product
+    (((e·s₁)·s₂)·…) of picks, whether or not the table is associative.
     """
-    n = len(mul)
     gens: list[int] = []
-    reached = [False] * n
-    reached[0] = True
-    members = [0]
-    for g in range(1, n):
-        if reached[g]:
-            continue
-        gens.append(g)
-        # the reached elements times the new pick; each element reached from
-        # here on is multiplied by every pick, so the closure is complete
-        todo = [mul[h][g] for h in members]
-        while todo:
-            p = todo.pop()
-            if reached[p]:
-                continue
-            reached[p] = True
-            members.append(p)
-            row = mul[p]
-            todo.extend(row[s] for s in gens)
+    reached = 1  # {identity}
+    for g in range(1, len(mul)):
+        if not reached >> g & 1:
+            gens.append(g)
+            reached = _closure(reached, gens, mul)
     return gens
 
 

@@ -607,46 +607,25 @@ def _suite_vaught(ctx: _Ctx):
 # suite: phar
 
 
-def _oracle_level1_cell(inst, u, v):
-    """Level-1 pieces from the intersection formula (no signatures involved).
+def _formula_blocks(inst, masks, parts, u: int, v: int) -> dict[int, int]:
+    """The intersection formula over the sets ``masks``, applied to the
+    orbits ``parts`` of the cell (U, V): {formula value: union of the parts
+    that get it}.
 
-    Returns (value, points) pairs ordered by least point, where value is the
-    intersection the formula assigns to every point of the block.
+    A part's value is U ∩ every saturation of a mask that the part meets ∩
+    the complement of every one it misses.  Only the distinct saturations
+    enter the formula: a saturation that recurs would AND the same factor in
+    again.
     """
-    full = inst.full_points
-    sats = [saturate_by_parts(inst, ul, u, v) for ul in inst.basisU.members]
-    out: dict[int, int] = {}
-    for x in bits(u):
-        b = _formula_block(local_orbit(inst, x, u, v), sats, u, full)
-        out[b] = out.get(b, 0) | 1 << x
-    return sorted(out.items(), key=lambda kv: kv[1] & -kv[1])
-
-
-def _formula_block(orb: int, sats, u: int, full: int) -> int:
-    """The intersection formula for one orbit: U ∩ every saturation it meets
-    ∩ the complement of every one it misses."""
-    b = u
-    for s in sats:
-        b &= s if orb & s else full & ~s
-    return b
-
-
-def _successor_formula(inst, data, parts, u: int, v: int) -> list[int]:
-    """The blocks the intersection formula gives a cell's orbits ``parts``
-    over the level ``data``, ordered by least point.
-
-    Each distinct block mask of the level is saturated once, and only the
-    distinct saturations enter the formula: a saturation that recurs would
-    AND the same factor in again.
-    """
-    masks = {mask for blocks in data for _, mask in blocks}
     sats = {saturate_by_parts(inst, mask, u, v) for mask in masks}
     full = inst.full_points
     got: dict[int, int] = {}
     for part in parts:
-        b = _formula_block(part, sats, u, full)
+        b = u
+        for s in sats:
+            b &= s if part & s else full & ~s
         got[b] = got.get(b, 0) | part
-    return sorted(got.values(), key=lambda m2: m2 & -m2)
+    return got
 
 
 def _suite_phar(ctx: _Ctx):
@@ -663,7 +642,10 @@ def _suite_phar(ctx: _Ctx):
     # level-1 agreement with the intersection formula
     for ci in cell_ids:
         n, m = cells[ci]
-        pairs = _oracle_level1_cell(inst, ctx.U[n], ctx.V[m])
+        u, v = ctx.U[n], ctx.V[m]
+        orbits = {local_orbit(inst, x, u, v) for x in bits(u)}
+        got = _formula_blocks(inst, inst.basisU.members, orbits, u, v)
+        pairs = sorted(got.items(), key=lambda kv: kv[1] & -kv[1])
         blocks = [pts for _, pts in pairs]
         engine = [mask for _, mask in table.levels[0][ci]]
         if blocks != engine:
@@ -679,9 +661,11 @@ def _suite_phar(ctx: _Ctx):
     for lvl in range(1, table.stabilization + 1):
         data = table.levels[lvl - 1]
         nxt = table.levels[lvl] if lvl < table.stabilization else table.levels[lvl - 1]
+        masks = {mask for blocks in data for _, mask in blocks}
         for ci in cell_ids:
             n, m = cells[ci]
-            oracle = _successor_formula(inst, data, table.cell_orbits[ci], ctx.U[n], ctx.V[m])
+            got = _formula_blocks(inst, masks, table.cell_orbits[ci], ctx.U[n], ctx.V[m])
+            oracle = sorted(got.values(), key=lambda b: b & -b)
             engine = [mask for _, mask in nxt[ci]]
             if oracle != engine:
                 ctx.fail("phar", "successor-intersection-formula", (n, m), level=lvl,

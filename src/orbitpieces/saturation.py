@@ -77,14 +77,18 @@ def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
     return saturate(inst, 1 << x, u, v)
 
 
-def _reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
+def _stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
     """⟨V⟩ˣ_U at depths 1, 2, ... for x ∈ U, up to and including the first
-    depth that adds nothing (the fixpoint).
+    depth that adds nothing (the fixpoint), memoised in ``inst._reach``.
 
     Once a stage is the whole group no product can add to it, so the next
     stage is the fixpoint and is appended without expanding it: with V = G
     that round would be |G|² products for nothing.
     """
+    key = (x, u, v)
+    out = inst._reach.get(key)
+    if out is not None:
+        return out
     rows = [inst.group.mul[g] for g in to_list(v)]
     act = inst.act
     full = inst.group.full
@@ -104,16 +108,8 @@ def _reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
                     added.append(gh)
         new = added
         out.append(cur)
+    inst._reach[key] = out
     return out
-
-
-def _stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
-    """The ``_reach_stages`` list of x ∈ U, memoised in ``inst._reach``."""
-    key = (x, u, v)
-    got = inst._reach.get(key)
-    if got is None:
-        got = inst._reach[key] = _reach_stages(inst, x, u, v)
-    return got
 
 
 def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None = None) -> int:

@@ -33,7 +33,7 @@ from hashlib import blake2b
 from itertools import compress
 
 from .bits import mask_of, to_list
-from .gspace import ActionInstance, orbit, translate_set
+from .gspace import ActionInstance, _translates, orbit
 from .saturation import cached_reach, orbit_partition, reach_common
 
 
@@ -297,10 +297,9 @@ def _decomp_translates(table: PieceTable):
     """Lazy per-table translates, ``translates[i][g]`` = gU_i."""
     translates = table._caches.get("decomp")
     if translates is None:
-        inst = table.instance
-        order = inst.group.order
+        images = _translates(table.instance.act)
         translates = table._caches["decomp"] = [
-            [translate_set(inst, u, g) for g in range(order)] for u in inst.basisU.members
+            list(images(u)) for u in table.instance.basisU.members
         ]
     return translates
 

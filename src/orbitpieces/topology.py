@@ -25,7 +25,7 @@ from .gspace import (
     orbit,
     translate_set,
 )
-from .scott import PieceTable, analyze, piece
+from .scott import STABLE, PieceTable, analyze, piece
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ def generate_topology(ground: int, subbasis) -> FiniteTopology:
 
 def _top_piece_level(table: PieceTable, alpha) -> int:
     """The highest piece level β < α that the refined family collects, capped
-    at stabilization (STABLE gives stabilization)."""
-    if isinstance(alpha, int):
-        if alpha < 1:
-            raise ValueError("refined families need level >= 1")
-        return min(alpha - 1, table.stabilization)
-    return table.stabilization
+    at stabilization (STABLE gives stabilization).  A level that a piece
+    lookup refuses is refused here too."""
+    if isinstance(alpha, int) and alpha < 1:
+        raise ValueError("refined families need level >= 1")
+    table.resolve_level(alpha)
+    return table.stabilization if alpha is STABLE else min(alpha - 1, table.stabilization)
 
 
 def refined_family(table: PieceTable, x: int, alpha) -> list[int]:
@@ -85,12 +85,8 @@ def refined_family(table: PieceTable, x: int, alpha) -> list[int]:
     inst = table.instance
     top_beta = _top_piece_level(table, alpha)
     orb = orbit(inst, x)
-    out: list[int] = []
-    seen: set[int] = set()
-    for u in inst.basisU.members:
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
+    out = list(inst.basisU.members)
+    seen = set(out)
     for beta in range(1, top_beta + 1):
         data = table.levels[beta - 1]
         for ci, (n, m) in enumerate(table.cells):

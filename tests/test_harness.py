@@ -384,6 +384,23 @@ PINNED_DRAWS = {
 }
 
 
+# the same digests on the --large slice: make_random 0-199 and strict 0-99,
+# 300 instances against the tier-1 slice's 28
+PINNED_DRAWS_LARGE = {
+    "locsat": "27dc9278e6730b25ba1dc2983d9abe6104e9c4af414ff5e57754435536972da0",
+    "bH": "5af51cd5378b5c1b0b7994eacd3dd01d762cda8ab13c76bff2cf02024b1f8c4d",
+    "vaught": "3525fc63f40b0b0f57202dbd8c266cfca5a6de43efb37da2babce6720aea9710",
+    "hist": "1e357124b13098eca7e6fc1cb2a660d3f5cc1d09e4fdb3fe5e4b95bf93be4e88",
+    "vb": "92b3c8aa8145043115ddda928b8f3c0ac017316cc7304e553a20868f1979a4e8",
+    "phar": "50fd6aeaf24f083662e6643aa8f66449ffaf4cdda870dde0c9cdb53cd76dd344",
+    "list": "c7f487fee921f31f8fdaf90adc1abdb01e141721ffd2480610bef190d7294119",
+    "translate": "5b4d637f54c12f5424760eba88269b0a318dc4588403be97043f289d9a3874e6",
+    "orb": "559557f0d7b760aa126151e0672bd2d209c7b238fc72ee23a86642a2fea6ad62",
+    "subs": "a8f899273aa0b8c71cfe11dc40b7fb7b50a7445938499535378668106fff1d9d",
+    "instances": "66ef606843c40a2d432998d92b98d9084c16c5968a7d79be0d89e7b8bebe5d38",
+}
+
+
 def _draw_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "oracle_draws.py"
     spec = importlib.util.spec_from_file_location("tools_oracle_draws", path)
@@ -398,6 +415,10 @@ def test_suite_draws_are_pinned():
     # suite, and a reorder in a suite that logs entries moves its log; a pure
     # reorder in a suite whose log stays empty shows in neither
     assert _draw_tool().digests() == PINNED_DRAWS
+
+
+def test_large_suite_draws_are_pinned():
+    assert _draw_tool().digests(large=True) == PINNED_DRAWS_LARGE
 
 
 def test_every_signature_names_a_stored_block():

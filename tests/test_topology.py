@@ -55,7 +55,7 @@ def test_refined_family_frozen_z4pairs():
     # (or the STABLE sentinel) add nothing new
     assert refined_family(t, 0, 9) == fam
     assert refined_family(t, 0, STABLE) == fam
-    with pytest.raises(ValueError, match="level"):
+    with pytest.raises(ValueError, match="refined families need level >= 1"):
         refined_family(t, 0, 0)
 
 
@@ -102,6 +102,17 @@ def test_open_map_memo_shares_stable_and_deep_levels():
     assert len(t._caches["openmap"]) == t.stabilization + 1
     with pytest.raises(ValueError, match="level"):
         open_map_check(t, 0, 0)
+
+
+@pytest.mark.parametrize("level", ["2", 2.5, "x", None])
+def test_refined_levels_refuse_what_a_piece_lookup_refuses(level):
+    # a level that is neither an int nor STABLE is refused, not read as STABLE
+    t = analyze(named_instance("z4pairs"))
+    for query in (refined_family, refined_space, open_map_check):
+        with pytest.raises(ValueError, match="bad level"):
+            query(t, 0, level)
+    with pytest.raises(ValueError, match="bad level"):
+        t.resolve_level(level)
 
 
 def test_refined_space_z4coarse_is_indiscrete():
