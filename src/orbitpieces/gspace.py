@@ -102,6 +102,8 @@ def translate_set(inst: ActionInstance, a: int, g: int) -> int:
 
 def orbit(inst: ActionInstance, x: int) -> int:
     """The global orbit G·x, read from the instance's orbit table."""
+    if not 0 <= x < inst.size:
+        raise ValueError(f"point {x} is not in the space of {inst.size} points")
     return inst.orbits[x]
 
 

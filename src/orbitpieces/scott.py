@@ -13,7 +13,7 @@ previous level's blocks are numbered in (cell, pid) order, which is the sorted
 order of their (n, m, pid) triples, and each point carries the bitmask of the
 blocks that hold it.  An orbit's key is the OR of its points' masks, and each
 cell is partitioned by these keys, so the partition test is exact and no hash
-takes part in it.
+takes part in it.  The table keeps each level's point masks as ``point_keys``.
 
 Partitions refine downward and the successor table is a function of the
 current table, so the first level whose partitions equal the next level's is
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
 
-from .bits import mask_of, to_list
+from .bits import mask_of, to_list, union_over
 from .gspace import ActionInstance, _translates, orbit
 from .saturation import cached_reach, orbit_partition, reach_common
 
@@ -63,11 +63,13 @@ class Signature:
 class PieceTable:
     """All piece partitions of one instance, per cell and level, plus lookups."""
 
-    def __init__(self, instance, cells, cell_orbits, levels, signatures, stabilization):
+    def __init__(self, instance, cells, cell_orbits, levels, point_keys, signatures, stabilization):
         self.instance = instance
         self.cells = cells
         self.cell_orbits = cell_orbits
         self.levels = levels
+        # point_keys[β][p]: the l with p ∈ U_l at β = 0, else the level-β blocks holding p
+        self.point_keys = point_keys
         self.signatures = signatures
         self.stabilization = stabilization
         self._caches: dict = {}
@@ -105,10 +107,7 @@ def _refine(cell_orbits, point_keys) -> list[dict[int, int]]:
         for part in parts:
             key = keys.get(part)
             if key is None:
-                key = 0
-                for p in to_list(part):
-                    key |= point_keys[p]
-                keys[part] = key
+                key = keys[part] = union_over(point_keys, part)
             blocks[key] = blocks.get(key, 0) | part
         data.append(blocks)
     return data
@@ -180,12 +179,13 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
     cells = tuple((n, m) for n in range(len(membersU)) for m in range(len(membersV)))
     cell_orbits = tuple(orbit_partition(inst, membersU[n], membersV[m]) for (n, m) in cells)
     # level 1: key bit l stands for U_l
-    point_keys = [mask_of(l for l, u in enumerate(membersU) if u >> p & 1) for p in range(inst.size)]
+    level_keys = [mask_of(l for l, u in enumerate(membersU) if u >> p & 1) for p in range(inst.size)]
+    point_keys = [level_keys]
     head, sep, items = "1|", ",", range(len(membersU))
     names = list(map(str, items))
     levels, signatures = [], {}
     while True:
-        keyed = _refine(cell_orbits, point_keys)
+        keyed = _refine(cell_orbits, level_keys)
         # keys hold the orbit's own previous piece, so levels refine: same counts, same partition
         if levels and all(len(a) == len(b) for a, b in zip(keyed, levels[-1])):
             break
@@ -197,9 +197,10 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
                 raise RuntimeError(f"piece-id hash collision on {pid}")
             signatures[pid] = Signature(len(levels) + 1, key)
         levels.append(data)
-        triples, names, point_keys = _block_keys(inst.size, cells, data)
+        triples, names, level_keys = _block_keys(inst.size, cells, data)
+        point_keys.append(level_keys)
         head, sep, items = "s|", ";", [(pid, n, m) for (n, m, pid) in triples]
-    return PieceTable(inst, cells, cell_orbits, levels, signatures, len(levels))
+    return PieceTable(inst, cells, cell_orbits, levels, point_keys, signatures, len(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +233,24 @@ def signature(table: PieceTable, x: int, u_idx: int, v_idx: int, level) -> Signa
     return table.signatures[_block_of(table, x, u_idx, v_idx, lvl)[0]]
 
 
-def _final_at(data, stable, orb: int) -> bool:
-    """Whether every block of ``data`` meets ``orb`` inside one stable block."""
-    for blocks, stable_blocks in zip(data, stable):
-        for _, mask in blocks:
-            trace = mask & orb
-            if trace:
-                low = trace & -trace
-                for _, smask in stable_blocks:
-                    if smask & low:
-                        if trace & ~smask:
-                            return False
-                        break
-    return True
-
-
 def scott_rank(table: PieceTable, x: int) -> int:
     """The least level γ ≥ 1 at which orbit-internal piece distinctions are final.
 
     For every cell and every pair of orbit points inside its U: equal γ-pieces
-    must already imply equal stable pieces.  The stable level always passes.
-    The rank depends on x only through its orbit, so it is memoised per orbit
-    on the table.
+    must already imply equal stable pieces.  The stable level L always passes.
+    The OR of ``point_keys[γ]`` over the orbit is the set of γ-blocks, over all
+    cells, that meet it.  L refines γ, so mapping each L-block that meets the
+    orbit to the γ-block of its cell holding it is onto; γ is final iff that
+    map is one-to-one, iff both ORs have equally many bits.  The rank depends
+    on x only through its orbit, so it is memoised per orbit on the table.
     """
     orb = orbit(table.instance, x)
     memo = table._caches.setdefault("rank", {})
     if orb not in memo:
-        stable = table.levels[-1]
-        memo[orb] = next((gamma for gamma, data in enumerate(table.levels[:-1], 1)
-                          if _final_at(data, stable, orb)), table.stabilization)
+        memo[orb] = 1
+        if table.stabilization > 1:  # at L = 1 the rank is 1, with no count
+            met = [union_over(keys, orb).bit_count() for keys in table.point_keys[1:]]
+            memo[orb] = met.index(met[-1]) + 1
     return memo[orb]
 
 

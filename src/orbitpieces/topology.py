@@ -15,6 +15,7 @@ with the relativized family enumeration taken verbatim.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,10 +119,14 @@ def open_map_check(table: PieceTable, x: int, alpha) -> tuple[bool, int | None]:
     """Whether g ↦ g·x is open onto the orbit in the refined relative topology.
 
     Over a discrete group this says every orbit singleton is relatively open;
-    the first point whose minimal relative neighbourhood exceeds itself is
-    returned as the witness.  The answer depends on x only through its orbit
-    and on α only through the capped piece level, so it is memoised per
-    (orbit, level) on the table.
+    the witness is the first point y whose minimal relative neighbourhood N(y)
+    exceeds {y}.  With K = ``point_keys[β]`` at the capped piece level β, the
+    refined members holding y are the U_n ∋ y and the blocks B_γ(c, y), γ ≤ β;
+    levels refine and blocks lie in their U_n, so N(y) ∩ orb = ⋂_c B_β(c, y) ∩
+    orb (⋂ U_n ∋ y at β = 0) = {z ∈ orb : K[y] ⊆ K[z]}.  Keys on an orbit of a
+    translation-closed family have one width, so a shared key decides; only a
+    strictly wider key needs a subset test.  The answer depends on x and α only
+    through (orbit, β), and is memoised per (orbit, β) on the table.
     """
     top_beta = _top_piece_level(table, alpha)
     orb = orbit(table.instance, x)
@@ -129,10 +134,13 @@ def open_map_check(table: PieceTable, x: int, alpha) -> tuple[bool, int | None]:
     key = (orb, top_beta)
     verdict = memo.get(key)
     if verdict is None:
+        pts = to_list(orb)
+        own = [table.point_keys[top_beta][y] for y in pts]
+        count = Counter(own)
+        widest = max(k.bit_count() for k in count)
         verdict = True, None
-        fam = refined_family(table, x, alpha)
-        for y in bits(orb):
-            if minimal_neighborhood(orb, fam, y) != 1 << y:
+        for y, k in zip(pts, own):
+            if count[k] > 1 or k.bit_count() < widest and any(w != k and not k & ~w for w in count):
                 verdict = False, y
                 break
         memo[key] = verdict

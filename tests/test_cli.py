@@ -71,6 +71,17 @@ def test_saturate_bad_index(capsys):
     assert code == 1 and "index out of range" in err
 
 
+@pytest.mark.parametrize("command", [["rank"], ["openmap", "--level", "2"]])
+@pytest.mark.parametrize("x", ["-1", "4"])
+def test_rank_and_openmap_refuse_points_outside_the_space(capsys, command, x):
+    code, out, err = run(capsys, *command, "--instance", "swapfix", "--x", x)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: index out of range: --x must be a non-negative index below 4, "
+        f"got {x}\n"
+    )
+
+
 @pytest.mark.parametrize("section", [[], "seeds", 3])
 def test_validate_non_object_basis_section(capsys, tmp_path, section):
     doc = json.loads(serialize_instance(make_random(0)))

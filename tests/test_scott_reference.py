@@ -2,11 +2,13 @@
 
 The engine keys each distinct local orbit once per level by an exact integer
 set of previous-level blocks, hashes ids only for stored levels, detects the
-fixpoint by block counts, and memoises ``scott_rank`` per orbit without
-scanning the stable level.  The references below build every orbit
+fixpoint by block counts, and keeps each level's point keys, off which
+``scott_rank`` (memoised per orbit) and ``open_map_check`` are read by bit
+counts and key containment.  The references below build every orbit
 occurrence's sorted triples by scanning all blocks of all cells, hash every
-level, compare whole mask lists, and scan every level up to the stable one;
-tables and ranks must agree exactly.
+level, compare whole mask lists, scan every block of every level against the
+stable one for the rank, and intersect the refined family's members for the
+open-map verdict; tables, ranks and verdicts must agree exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from orbitpieces.algebra import (
 from orbitpieces.bits import bits, is_subset, mask_of
 from orbitpieces.gspace import (
     build_instance,
+    instance_from_families,
     make_coset_action,
     make_cyclic_self,
     make_random,
@@ -36,11 +39,13 @@ from orbitpieces.gspace import (
 )
 from orbitpieces.saturation import orbit_partition, reach_sets, saturate_by_parts
 from orbitpieces.scott import (
+    STABLE,
     Signature,
     analyze,
     scott_rank,
     successor_level,
 )
+from orbitpieces.topology import minimal_neighborhood, open_map_check, refined_family
 
 from test_acceptance import GOLDEN
 
@@ -305,6 +310,105 @@ def test_scott_rank_matches_the_full_scan(key):
         assert t.stabilization == 2 and 1 in ranks
     if key == "z10l3":
         assert t.stabilization == 3 and ranks == [3] * inst.size
+
+
+# ---------------------------------------------------------------------------
+# the point keys that ``scott_rank`` and ``open_map_check`` read
+#
+# Both proofs rest on the stored keys: level 0 holds U-membership, and above
+# each point has one bit per cell whose U holds it, the bit of the block that
+# holds it.  The checks below rebuild that from ``t.levels`` in (cell, pid)
+# order, and compare both queries with the full scan and with the refined
+# family's minimal neighbourhoods on families that are not translation-closed,
+# where keys on one orbit can differ in width.
+
+
+def _check_point_keys(t):
+    inst = t.instance
+    membersU = inst.basisU.members
+    assert len(t.point_keys) == t.stabilization + 1
+    assert t.point_keys[0] == [
+        sum(1 << l for l, u in enumerate(membersU) if u >> p & 1) for p in range(inst.size)
+    ]
+    for beta in range(1, t.stabilization + 1):
+        keys = t.point_keys[beta]
+        start = 0
+        for (n, _), blocks in zip(t.cells, t.levels[beta - 1]):
+            masks = [mask for _, mask in sorted(blocks)]
+            for p in range(inst.size):
+                held = [mask for i, mask in enumerate(masks) if keys[p] >> (start + i) & 1]
+                assert len(held) == membersU[n] >> p & 1
+                assert all(mask >> p & 1 for mask in held)
+            start += len(masks)
+        assert all(key >> start == 0 for key in keys)
+
+
+def _z_n(n):
+    return cyclic_group(n), [[(a + x) % n for x in range(n)] for a in range(n)]
+
+
+NON_CLOSED_SEEDS = 60
+
+
+def _non_closed(seed):
+    """Z/n, 3 ≤ n ≤ 8, with 1-4 random U-members and 0-2 symmetric
+    V-members, taken verbatim: the U-family is not re-closed."""
+    rng = random.Random(f"nonclosed{seed}")
+    n = rng.randrange(3, 9)
+    g, act = _z_n(n)
+    us = sorted({rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 5))} - {(1 << n) - 1})
+    vs = sorted({symmetric_closure(1 | 1 << rng.randrange(n), g)
+                 for _ in range(rng.randrange(3))} - {g.full})
+    return instance_from_families(g, n, act, [*us, (1 << n) - 1], [*vs, g.full], "exploratory")
+
+
+def _ref_open_map(t, x, alpha):
+    fam = refined_family(t, x, alpha)
+    orb = orbit(t.instance, x)
+    return next(((False, y) for y in bits(orb) if minimal_neighborhood(orb, fam, y) != 1 << y),
+                (True, None))
+
+
+def test_point_keys_match_the_stored_levels():
+    for key, inst in _corpus():
+        _check_point_keys(analyze(inst))
+    for seed in range(NON_CLOSED_SEEDS):
+        _check_point_keys(analyze(_non_closed(seed)))
+
+
+def test_open_map_on_a_family_that_is_not_translation_closed():
+    # Z/3 with U = [{0}, {0,1}, X]: the keys of 0, 1, 2 have widths 3, 2, 1
+    # at level 0, and 1 fails only because 0's wider key contains its own
+    g, act = _z_n(3)
+    inst = instance_from_families(g, 3, act, [0b001, 0b011, 0b111], [g.full], "exploratory")
+    t = analyze(inst)
+    _check_point_keys(t)
+    assert all(len(set(keys)) == 3 for keys in t.point_keys)
+    assert t.point_keys[0] == [0b111, 0b110, 0b100]
+    for x in range(3):
+        assert scott_rank(t, x) == 1
+        for alpha in [*range(1, t.stabilization + 3), STABLE]:
+            assert open_map_check(t, x, alpha) == (False, 1) == _ref_open_map(t, x, alpha)
+
+
+def test_queries_match_the_references_on_families_that_are_not_translation_closed():
+    stabilizations = set()
+    uneven = 0
+    for seed in range(NON_CLOSED_SEEDS):
+        inst = _non_closed(seed)
+        t = analyze(inst)
+        stabilizations.add(t.stabilization)
+        for x in range(inst.size):
+            t._caches.clear()
+            assert scott_rank(t, x) == _ref_scott_rank(t, x), (seed, x)
+            for alpha in [*range(1, t.stabilization + 3), STABLE]:
+                t._caches.clear()
+                assert open_map_check(t, x, alpha) == _ref_open_map(t, x, alpha), (seed, x, alpha)
+        for keys in t.point_keys:
+            uneven += any(len({keys[y].bit_count() for y in bits(orb)}) > 1
+                          for orb in set(inst.orbits))
+    # the sweep reaches stabilization 3 and checks orbits whose keys differ in width
+    assert max(stabilizations) >= 3 and uneven
 
 
 # ---------------------------------------------------------------------------

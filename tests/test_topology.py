@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from orbitpieces.bits import is_subset, to_list, universe
 from orbitpieces import gspace
 from orbitpieces.gspace import NAMED_INSTANCES, InstanceError, make_random, named_instance, orbit
-from orbitpieces.scott import STABLE, analyze, piece
+from orbitpieces.scott import STABLE, analyze, piece, scott_rank
 from orbitpieces.topology import (
     generate_topology,
     minimal_neighborhood,
@@ -113,6 +113,25 @@ def test_refined_levels_refuse_what_a_piece_lookup_refuses(level):
             query(t, 0, level)
     with pytest.raises(ValueError, match="bad level"):
         t.resolve_level(level)
+
+
+@pytest.mark.parametrize("x", [-1, 4])
+def test_points_outside_the_instance_are_refused(x):
+    # -1 used to read the last point's orbit, so swapfix answered for point 3,
+    # and 4 raised a bare IndexError
+    inst = named_instance("swapfix")
+    t = analyze(inst)
+    assert inst.size == 4
+    for query in (
+        lambda: orbit(inst, x),
+        lambda: scott_rank(t, x),
+        lambda: open_map_check(t, x, 2),
+        lambda: refined_family(t, x, 2),
+    ):
+        with pytest.raises(ValueError, match=f"point {x} is not in the space of 4 points"):
+            query()
+    with pytest.raises(ValueError):
+        refined_space(t, x, 2)
 
 
 def test_refined_space_z4coarse_is_indiscrete():
