@@ -5,7 +5,8 @@ The classification ties together:
 1. eventual openness — every point has, for every V in the family, some cell
    (U_n, V_m) whose local orbit of x stays inside V·x;
 2. the invariant-containment law — every locally V_U-invariant set containing
-   x contains the whole piece of x (checked over enumerated invariant sets);
+   x contains the whole piece of x (decided per cell by counting its blocks
+   against its local orbits);
 3. orbit completeness — the orbit of x equals its top-cell piece at level
    rank(x)+2;
 4. openness of the evaluation map in the refined topology at rank(x)+2.
@@ -19,16 +20,31 @@ from __future__ import annotations
 
 import random
 
-from .bits import bits, to_list
+from .bits import to_list, union_over
 from .gspace import ActionInstance, orbit
 from .saturation import orbit_partition, point_images
 from .scott import STABLE, PieceTable, piece, scott_rank
 from .topology import open_map_check
 
-# The orbit unions `invariant_containment_check` tries per cell: a cell with
-# |U| ≤ 12 and at most this many is exhausted, a larger one gets this many
-# seeded draws.  Read at call time; the report prints it as "budget".
+# The orbit unions `invariant_containment_check` counts per cell: a cell with
+# |U| ≤ 12 and at most this many counts them all, a larger one counts this
+# many seeded draws, which a failing cell replays up to its first split.  Read
+# at call time; the report prints it as "budget".
 BUDGET = 4096
+
+
+def _witness(inst: ActionInstance, x: int, target: int) -> list[int] | None:
+    """The first pair (n, m) in family order with x ∈ U_n and the local orbit
+    of x at (U_n, V_m) inside ``target``, or None."""
+    for n, un in enumerate(inst.basisU.members):
+        if un >> x & 1:
+            for m, vm in enumerate(inst.basisV.members):
+                for part in orbit_partition(inst, un, vm):
+                    if part >> x & 1:  # the local orbit of x; U_n holds x
+                        break
+                if not part & ~target:
+                    return [n, m]
+    return None
 
 
 def eventual_openness(inst: ActionInstance):
@@ -38,32 +54,26 @@ def eventual_openness(inst: ActionInstance):
     family order with x ∈ U_n and local orbit of x at (U_n, V_m) inside V·x;
     None when the exhaustive search finds no such pair.
     """
-    membersU = inst.basisU.members
-    membersV = inst.basisV.members
-    images = [point_images(inst, v) for v in membersV]
-    witnesses: list[list] = []
-    for x in range(inst.size):
-        row: list = []
-        for nb in images:
-            target = nb[x]
-            found = None
-            for n, un in enumerate(membersU):
-                if not un >> x & 1:
-                    continue
-                for m, vm in enumerate(membersV):
-                    for part in orbit_partition(inst, un, vm):
-                        if part >> x & 1:
-                            if part & ~target == 0:
-                                found = [n, m]
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            row.append(found)
-        witnesses.append(row)
+    images = [point_images(inst, v) for v in inst.basisV.members]
+    witnesses = [[_witness(inst, x, nb[x]) for nb in images] for x in range(inst.size)]
     verdict = all(w is not None for row in witnesses for w in row)
     return verdict, witnesses
+
+
+def _violation(n: int, m: int, lvl: int, blocks, a: int) -> dict | None:
+    """The record of the first block of cell (n, m) that the orbit union A
+    splits, with x the least point of A in it; None if A splits none."""
+    for _, mask in blocks:
+        if mask & a and mask & ~a:
+            return {
+                "u": n,
+                "v": m,
+                "alpha": lvl,
+                "x": (mask & a & -(mask & a)).bit_length() - 1,
+                "witness_set": to_list(a),
+                "piece": to_list(mask),
+            }
+    return None
 
 
 def invariant_containment_check(
@@ -76,57 +86,54 @@ def invariant_containment_check(
 
     Locally V_U-invariant sets are exactly unions of local orbits inside U
     joined with arbitrary subsets of X∖U; the verdict only depends on A∩U
-    (pieces live inside U), so the enumeration ranges over orbit unions and
-    witnesses are recorded padding-free.  Cells with |U| ≤ 12 and at most
-    ``BUDGET`` orbit unions are exhausted; larger cells fall back to
-    ``BUDGET`` seeded draws.  The first violation per cell is recorded.
-    The engine labels each distinct orbit once per level, so a piece is a
-    union of whole orbits; a cell with as many blocks as orbits has one orbit
-    per piece, cannot fail, and is counted as checked without enumeration.
+    (pieces live inside U), so the law ranges over orbit unions A, and
+    witnesses are recorded padding-free.  The engine labels each distinct
+    orbit once per level, so a piece is a union of whole orbits, and A splits
+    a block B (meets it without holding it) iff B holds one orbit inside A and
+    one outside it.  So a cell violates the law iff one of its blocks holds
+    two or more orbits, iff it has fewer blocks than orbits: the piece table
+    decides each cell without listing any union.
+
+    The record is that of a scan over orbit unions in a fixed order, stopped
+    at the first union that splits a block; ``checked`` counts the unions it
+    tries.  Take the k orbits of a cell ordered by least point, and let
+    counter c stand for the union of orbit i over the bits i of c.
+
+    - A cell with |U| ≤ 12 and 2^k ≤ ``BUDGET`` is exhaustive: the scan tries
+      c = 1, ..., 2^k − 1.  A passing cell counts 2^k − 1.  In a failing one,
+      let i be the least index of an orbit in a block with two or more
+      orbits.  Every c < 2^i takes only orbits 0..i−1, each alone in its
+      block, so it splits nothing; c = 2^i is orbit i alone, which splits
+      exactly its own block.  So the cell counts 2^i and records A = orbit i,
+      the block holding it, and x the least point of orbit i.
+    - A larger cell is sampled: the scan tries ``BUDGET`` seeded draws of c.
+      A passing cell counts ``BUDGET``; a failing one replays the draws up to
+      the first that splits a block.
     """
     budget = BUDGET
     lvl = table.resolve_level(alpha)
     violations: list[dict] = []
     checked = 0
     exhaustive = True
-    for ci, (n, m) in enumerate(table.cells):
-        u = inst.basisU[n]
-        parts = table.cell_orbits[ci]
+    for (n, m), parts, blocks in zip(table.cells, table.cell_orbits, table.levels[lvl - 1]):
         k = len(parts)
-        blocks = table.levels[lvl - 1][ci]
-
-        def scan(a: int):
-            for _, mask in blocks:
-                if mask & a and mask & ~a:
-                    return {
-                        "u": n,
-                        "v": m,
-                        "alpha": lvl,
-                        "x": (mask & a & -(mask & a)).bit_length() - 1,
-                        "witness_set": to_list(a),
-                        "piece": to_list(mask),
-                    }
-            return None
-
-        small = u.bit_count() <= 12 and (1 << k) <= budget
+        small = inst.basisU[n].bit_count() <= 12 and (1 << k) <= budget
         exhaustive = exhaustive and small
         if len(blocks) == k:
             checked += (1 << k) - 1 if small else budget
-            continue
-        if small:
-            counters = range(1, 1 << k)
+        elif small:
+            alone = {mask for _, mask in blocks}
+            i = next(i for i, part in enumerate(parts) if part not in alone)
+            checked += 1 << i
+            violations.append(_violation(n, m, lvl, blocks, parts[i]))
         else:
             rng = random.Random(f"invariant:{seed}:{n}:{m}")
-            counters = (rng.randrange(1, 1 << k) for _ in range(budget))
-        for counter in counters:
-            a = 0
-            for i in bits(counter):
-                a |= parts[i]
-            checked += 1
-            found = scan(a)
-            if found:
-                violations.append(found)
-                break
+            for _ in range(budget):
+                checked += 1
+                found = _violation(n, m, lvl, blocks, union_over(parts, rng.randrange(1, 1 << k)))
+                if found:
+                    violations.append(found)
+                    break
     return {
         "level": lvl,
         "verdict": not violations,

@@ -100,10 +100,19 @@ def translate_set(inst: ActionInstance, a: int, g: int) -> int:
     return image_mask(inst.act[g], to_list(a))
 
 
-def orbit(inst: ActionInstance, x: int) -> int:
-    """The global orbit G·x, read from the instance's orbit table."""
+def _check_point(inst: ActionInstance, x: int) -> None:
+    """Refuse a point outside the space with ``ValueError``.
+
+    The point queries call it only where x is negative or outside their set,
+    so an in-range call does no extra work.
+    """
     if not 0 <= x < inst.size:
         raise ValueError(f"point {x} is not in the space of {inst.size} points")
+
+
+def orbit(inst: ActionInstance, x: int) -> int:
+    """The global orbit G·x, read from the instance's orbit table."""
+    _check_point(inst, x)
     return inst.orbits[x]
 
 

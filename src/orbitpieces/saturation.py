@@ -41,7 +41,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from .bits import bits, image_mask, to_list, union_over
-from .gspace import ActionInstance
+from .gspace import ActionInstance, _check_point
 
 
 def act_image(inst: ActionInstance, a: int, v: int) -> int:
@@ -73,7 +73,11 @@ def saturate(inst: ActionInstance, a: int, u: int, v: int) -> int:
 
 
 def local_orbit(inst: ActionInstance, x: int, u: int, v: int) -> int:
-    """The local V_U-orbit of a point; empty exactly when x ∉ U."""
+    """The local V_U-orbit of a point; empty exactly when x ∉ U, and a point
+    outside the space is refused."""
+    if x < 0 or not u >> x & 1:
+        _check_point(inst, x)
+        return 0
     return saturate(inst, 1 << x, u, v)
 
 
@@ -129,7 +133,8 @@ def reach_sets(inst: ActionInstance, x: int, u: int, v: int, depth: int | None =
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
-    if not u >> x & 1:
+    if x < 0 or not u >> x & 1:
+        _check_point(inst, x)
         return 0
     if depth == 0:
         return 1
@@ -142,7 +147,10 @@ def reach_stages(inst: ActionInstance, x: int, u: int, v: int) -> list[int]:
     and including the first depth that adds nothing (the fixpoint); every
     later depth equals its last entry.
     """
-    return _stages(inst, x, u, v)[:] if u >> x & 1 else [0]
+    if x < 0 or not u >> x & 1:
+        _check_point(inst, x)
+        return [0]
+    return _stages(inst, x, u, v)[:]
 
 
 def reach_common(inst: ActionInstance, a: int, u: int, v: int) -> int:

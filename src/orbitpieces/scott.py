@@ -33,7 +33,7 @@ from hashlib import blake2b
 from itertools import compress
 
 from .bits import mask_of, to_list, union_over
-from .gspace import ActionInstance, _translates, orbit
+from .gspace import ActionInstance, _check_point, _translates, orbit
 from .saturation import cached_reach, orbit_partition, reach_common
 
 
@@ -209,7 +209,8 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
 
 def _block_of(table: PieceTable, x: int, u_idx: int, v_idx: int, lvl: int):
     """The stored (pieceId, mask) block holding x at one cell, or None at level 0."""
-    if not table.instance.basisU[u_idx] >> x & 1:
+    if x < 0 or not table.instance.basisU[u_idx] >> x & 1:
+        _check_point(table.instance, x)
         raise ValueError(f"point {x} is not in U_{u_idx}")
     if lvl == 0:
         return None
@@ -376,7 +377,8 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     inst = table.instance
     u = inst.basisU[u_idx]
     v = inst.basisV[v_idx]
-    if not u >> x & 1:
+    if x < 0 or not u >> x & 1:
+        _check_point(inst, x)
         raise ValueError(f"point {x} is not in U_{u_idx}")
     lvl = table.resolve_level(level)
     if lvl < 1:

@@ -1,22 +1,32 @@
 from __future__ import annotations
 
+import functools
 import random
+
 
 from hypothesis import given, settings, strategies as st
 
 from orbitpieces import classify
-from orbitpieces.algebra import group_from_generators, subgroup_closure
-from orbitpieces.bits import bits, to_list
+from orbitpieces.algebra import cyclic_group, group_from_generators, subgroup_closure, symmetric_closure
+from orbitpieces.bits import bits, mask_of, to_list
 from orbitpieces.classify import (
     _CONDITION_KEYS,
     classification_report,
     eventual_openness,
     invariant_containment_check,
 )
-from orbitpieces.gspace import NAMED_INSTANCES, make_coset_action, make_random, named_instance, orbit
-from orbitpieces.scott import analyze
+from orbitpieces.gspace import (
+    NAMED_INSTANCES,
+    build_instance,
+    make_coset_action,
+    make_random,
+    named_instance,
+    orbit,
+)
+from orbitpieces.scott import STABLE, analyze
 
 strict_seeds = st.integers(min_value=0, max_value=150)
+ALPHAS = (1, 2, 3, STABLE)
 
 
 def test_condition_keys():
@@ -76,13 +86,59 @@ def test_invariant_containment_z4pairs_clean_at_stable_level():
 
 
 def test_invariant_containment_budget_sampling(monkeypatch):
+    # with 2 draws per cell every cell is sampled, and the failing top cell
+    # replays its draws; the record was taken from the enumerating check
     inst = named_instance("z4pairs")
     t = analyze(inst)
     monkeypatch.setattr(classify, "BUDGET", 2)  # read at call time
     tiny = invariant_containment_check(inst, t, 1, seed=5)
-    assert not tiny["exhaustive"] and tiny["budget"] == 2
+    assert tiny == {
+        "level": 1,
+        "verdict": False,
+        "violations": [
+            {"u": 4, "v": 0, "alpha": 1, "x": 0, "witness_set": [0, 2], "piece": [0, 1, 2, 3]}
+        ],
+        "exhaustive": False,
+        "checked": 14,
+        "budget": 2,
+    }
     again = invariant_containment_check(inst, t, 1, seed=5)
     assert tiny == again  # seeded sampling is reproducible
+
+
+def _z14win():
+    """Z/14 on itself with windows of 3 and 5 points and V = {0, ±1}, {0, ±2}."""
+    g = cyclic_group(14)
+    act = [[(i + x) % 14 for x in range(14)] for i in range(14)]
+    seeds_v = [symmetric_closure(1 << 1, g), symmetric_closure(1 << 2, g)]
+    return build_instance(g, 14, act, [mask_of([0, 1, 2]), mask_of(range(5))], seeds_v,
+                          "exploratory", "z14win")
+
+
+def test_invariant_containment_sampled_cell_fails_at_its_first_split():
+    # the top cell (X, {0, ±2}) has 14 points, so it is sampled at the full
+    # budget, and its one level-1 block holds both parity classes; the record
+    # was taken from the enumerating check
+    inst = _z14win()
+    t = analyze(inst)
+    assert len(t.cells) == 87
+    assert invariant_containment_check(inst, t, 1) == {
+        "level": 1,
+        "verdict": False,
+        "violations": [
+            {
+                "u": 28,
+                "v": 1,
+                "alpha": 1,
+                "x": 1,
+                "witness_set": [1, 3, 5, 7, 9, 11, 13],
+                "piece": list(range(14)),
+            }
+        ],
+        "exhaustive": False,
+        "checked": 8334,
+        "budget": 4096,
+    }
 
 
 def test_classification_report_z4coarse():
@@ -175,8 +231,16 @@ def test_strict_orbits_equal_final_pieces(seed):
         assert orbit(inst, p["x"]).bit_count() >= 1
 
 
-def _enumerated_containment_check(inst, table, alpha=1, budget=4096, seed=0):
-    """The check with every cell enumerated, one-orbit pieces included."""
+def _enumerated_containment(inst, table, alpha=1, seed=0, full=False):
+    """The containment check by listing orbit unions, as the library did
+    before it read the verdict off the block count.
+
+    Small cells try every union in counter order and larger ones
+    ``classify.BUDGET`` seeded draws, each stopping at the first union that
+    splits a block.  A cell with one orbit per block passes on its count, as
+    the library's did, unless ``full`` is set, which enumerates it too.
+    """
+    budget = classify.BUDGET
     lvl = table.resolve_level(alpha)
     violations = []
     checked = 0
@@ -200,10 +264,14 @@ def _enumerated_containment_check(inst, table, alpha=1, budget=4096, seed=0):
                     }
             return None
 
-        if u.bit_count() <= 12 and (1 << k) <= budget:
+        small = u.bit_count() <= 12 and (1 << k) <= budget
+        exhaustive = exhaustive and small
+        if len(blocks) == k and not full:
+            checked += (1 << k) - 1 if small else budget
+            continue
+        if small:
             counters = range(1, 1 << k)
         else:
-            exhaustive = False
             rng = random.Random(f"invariant:{seed}:{n}:{m}")
             counters = (rng.randrange(1, 1 << k) for _ in range(budget)) if k else ()
         for counter in counters:
@@ -239,14 +307,48 @@ def _containment_corpus():
 
 
 def test_containment_check_matches_full_enumeration(monkeypatch):
+    # small budgets sample most cells, so failing sampled cells replay draws
     seen = set()
     for key, inst in _containment_corpus():
         t = analyze(inst)
-        for alpha in (1, 2):
-            for budget in (2, 4096):
+        for alpha in ALPHAS:
+            for budget in (2, 8, 64, 4096):
                 monkeypatch.setattr(classify, "BUDGET", budget)
                 got = invariant_containment_check(inst, t, alpha, seed=3)
-                assert got == _enumerated_containment_check(inst, t, alpha, budget, seed=3), (
+                assert got == _enumerated_containment(inst, t, alpha, seed=3, full=True), (
                     key, alpha, budget)
                 seen.add((got["verdict"], got["exhaustive"]))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@functools.cache
+def _sweep():
+    """The named instances, ``make_random`` 0-199 and strict 0-99, analysed."""
+    insts = [(name, named_instance(name)) for name in NAMED_INSTANCES]
+    insts += [(f"random{s}", make_random(s)) for s in range(200)]
+    insts += [(f"strict{s}", make_random(s, strict=True)) for s in range(100)]
+    return [(key, inst, analyze(inst)) for key, inst in insts]
+
+
+def test_containment_check_matches_enumeration_on_the_sweep():
+    verdicts = set()
+    for key, inst, t in _sweep():
+        for alpha in ALPHAS:
+            got = invariant_containment_check(inst, t, alpha)
+            assert got == _enumerated_containment(inst, t, alpha), (key, alpha)
+            verdicts.add(got["verdict"])
+    assert verdicts == {True, False}
+
+
+def test_invariant_containment_implies_orbit_equals_final_piece():
+    """The implication that the census of ROADMAP item 5 relies on.
+
+    The containment verdict follows each cell's block count, so a passing
+    law leaves each level-1 block of the top cell (X, G) one local orbit of
+    that cell, which is one G-orbit.  Pieces refine with the level, so the
+    final piece of x lies inside G·x; being a union of the cell's local
+    orbits that holds x, it is G·x.
+    """
+    for key, inst, t in _sweep():
+        conditions = classification_report(inst, t)["conditions"]
+        assert conditions["orbit_equals_final_piece"] or not conditions["invariant_containment"], key

@@ -368,7 +368,9 @@ def test_canonical_json_refuses_floats_and_non_str_keys():
 # last rewritten: each suite's log and generator state on 28 instances ×
 # seeds {0, 3} × trials {4, 16}; locsat since it draws one equivariance
 # element per cell, and the slice's instance documents since before instance
-# construction was last rewritten
+# construction was last rewritten; the classification reports of every
+# instance at seeds {0, 3}, recorded while the containment check still
+# enumerated orbit unions
 PINNED_DRAWS = {
     "locsat": "3340f64f57de71d001c0ee063afdde21d64abab82dd0adae0e22b0f243858e8a",
     "bH": "72237391828a3e0d8153c0be24c43b2ecf53082ca6e4042b39492171b3bc5fa1",
@@ -380,6 +382,7 @@ PINNED_DRAWS = {
     "translate": "4a230e27d2ecbfa010a6e601358dcba553e06ef47efaa29c47111beda6880093",
     "orb": "8ea214606cbbc7ab15e381fc178e7528cd1377010750290b460f1666499c88e5",
     "subs": "24c75ed2fd5db370fd69f1b328cacb76ca50b3e72769851358c3393acc0442fa",
+    "classification": "85e48d814490ec9657a07cf92dc14da4ce54f2af5379f0469bced9eb5d848f4c",
     "instances": "02e4e09884325f59151cedf7ef30a903fe790c26dbfb793ece813c3e90ee96e5",
 }
 
@@ -397,6 +400,7 @@ PINNED_DRAWS_LARGE = {
     "translate": "5b4d637f54c12f5424760eba88269b0a318dc4588403be97043f289d9a3874e6",
     "orb": "559557f0d7b760aa126151e0672bd2d209c7b238fc72ee23a86642a2fea6ad62",
     "subs": "a8f899273aa0b8c71cfe11dc40b7fb7b50a7445938499535378668106fff1d9d",
+    "classification": "87cae2e835c57126cee7d90b344114f1215228783aaee329e473cda5565ae347",
     "instances": "66ef606843c40a2d432998d92b98d9084c16c5968a7d79be0d89e7b8bebe5d38",
 }
 

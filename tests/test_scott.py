@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitpieces.bits import is_subset, mask_of, to_list
 from orbitpieces.gspace import make_random, named_instance
-from orbitpieces.saturation import orbit_partition
+from orbitpieces.saturation import local_orbit, orbit_partition, reach_sets, reach_stages
 from orbitpieces.scott import (
     STABLE,
     analyze,
@@ -25,6 +25,28 @@ def test_stable_sentinel_ordering():
     assert repr(STABLE) == "STABLE"
     t = analyze(named_instance("z4pairs"))
     assert t.resolve_level(STABLE) == t.stabilization == 2
+
+
+@pytest.mark.parametrize("x", [-1, 4])
+def test_point_queries_refuse_points_outside_the_space(x):
+    # one past the end used to read as an empty set (0, or [0] for the
+    # stages) and a negative point failed with a bare "negative shift count"
+    inst = named_instance("swapfix")
+    t = analyze(inst)
+    top_u, top_v = len(inst.basisU) - 1, len(inst.basisV) - 1
+    u, v = inst.basisU[top_u], inst.basisV[top_v]
+    queries = {
+        "local_orbit": lambda: local_orbit(inst, x, u, v),
+        "reach_sets": lambda: reach_sets(inst, x, u, v),
+        "reach_stages": lambda: reach_stages(inst, x, u, v),
+        "piece": lambda: piece(t, x, top_u, top_v, 1),
+        "signature": lambda: signature(t, x, top_u, top_v, 1),
+        "piece_from_decomposition": lambda: piece_from_decomposition(t, x, top_u, top_v, 1),
+    }
+    for name, query in queries.items():
+        with pytest.raises(ValueError, match=f"^point {x} is not in the space of 4 points$"):
+            query()
+            pytest.fail(name)
 
 
 def test_z4self_table_frozen():

@@ -13,7 +13,9 @@ are hashed into that suite's digest.  One line per suite is printed,
 ``<suite> <sha256>``, so two trees whose outputs differ name the suites that
 draw or check differently.  A last line, ``instances <sha256>``, hashes the
 ``serialize_instance`` document of every instance of the slice, so a change
-to how instances are built shows apart from the suites.
+to how instances are built shows apart from the suites.  The line before it,
+``classification <sha256>``, hashes the canonical JSON of
+``classification_report`` for every instance and seed of the slice.
 
 The state after a suite catches an added, dropped or resized draw; the log
 catches a reorder in a suite that logs entries.  A pure reorder of draws in
@@ -29,6 +31,7 @@ import hashlib
 import json
 
 from orbitpieces import harness
+from orbitpieces.classify import classification_report
 from orbitpieces.gspace import NAMED_INSTANCES, make_random, named_instance
 from orbitpieces.scott import analyze
 
@@ -46,14 +49,17 @@ def instances(large: bool = False):
 
 
 def digests(large: bool = False) -> dict[str, str]:
-    """The digest of every suite over the slice, keyed by suite token, and of
-    the slice's instance documents, keyed ``instances``."""
+    """The digest of every suite over the slice, keyed by suite token, of the
+    classification reports, keyed ``classification``, and of the slice's
+    instance documents, keyed ``instances``."""
     hashes = {token: hashlib.sha256() for token in harness.SUITES}
+    reports = hashlib.sha256()
     documents = hashlib.sha256()
     for inst in instances(large):
         documents.update(harness.serialize_instance(inst).encode())
         table = analyze(inst)
         for seed in SEEDS:
+            reports.update(harness.canonical_json(classification_report(inst, table, seed)).encode())
             for trials in TRIALS:
                 for token, h in hashes.items():
                     ctx = harness._Ctx(inst, table, seed, trials)
@@ -62,7 +68,8 @@ def digests(large: bool = False) -> dict[str, str]:
                     h.update(json.dumps(ctx.entries, sort_keys=True).encode())
                     h.update(repr(ctx.rng.getstate()).encode())
     return {token: h.hexdigest() for token, h in hashes.items()} | {
-        "instances": documents.hexdigest()
+        "classification": reports.hexdigest(),
+        "instances": documents.hexdigest(),
     }
 
 
