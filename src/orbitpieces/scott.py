@@ -18,19 +18,21 @@ takes part in it.  The table keeps each level's point masks as ``point_keys``.
 Partitions refine downward and the successor table is a function of the
 current table, so the first level whose partitions equal the next level's is
 a genuine fixpoint; that level is the stabilization L.  Its check level is
-keyed, compared by block counts and dropped without hashing anything.  Piece
-ids are content hashes of the canonical signature encoding, hence stable
-across runs and instances; a stored level hashes each distinct key once,
-decoding its bits in ascending order, and every new id is checked against all
-earlier ids of the analysis.  The engine is a plain single-threaded loop over
-cells and keeps no state between analyses.
+keyed, compared by block counts and dropped without hashing anything or
+writing its payload names.  Piece ids are content hashes of the canonical
+signature encoding, hence stable across runs and instances; a stored level
+hashes each distinct key once, reading its bits in ascending order, and every
+new id is checked against all earlier ids of the analysis.  A stored level
+decodes nothing: each signature keeps its key and the level's items, and its
+entries are decoded on first read.  The engine is a plain single-threaded
+loop over cells and keeps no state between analyses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from hashlib import blake2b
-from itertools import compress
+from itertools import compress, count
 
 from .bits import mask_of, to_list, union_over
 from .gspace import ActionInstance, _check_point, _translates, orbit
@@ -46,18 +48,63 @@ class _Stable:
 
 STABLE = _Stable()
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Signature:
     """Canonical level invariant, stored in canonical order: the sorted
-    U-indices at level 1, and (pid, n, m) triples ordered by (n, m, pid) above."""
+    U-indices at level 1, and (pid, n, m) triples ordered by (n, m, pid) above.
 
-    level: int
-    entries: tuple
+    ``analyze`` keeps each signature as the integer key it already has and
+    the level's shared ``items``, one per key bit, and ``entries`` decodes
+    the key on first read and caches the tuple.  Equality, hash and repr
+    are those of (level, entries), and the object is immutable.
+    """
+
+    __slots__ = ("level", "_entries", "_key", "_items")
+
+    def __init__(self, level: int, entries: tuple):
+        _set(self, "level", level)
+        _set(self, "_entries", entries)
+
+    @classmethod
+    def _of_key(cls, level: int, key: int, items) -> Signature:
+        sig = _new(cls)
+        _set(sig, "level", level)
+        _set(sig, "_entries", None)
+        _set(sig, "_key", key)
+        _set(sig, "_items", items)
+        return sig
+
+    @property
+    def entries(self) -> tuple:
+        entries = self._entries
+        if entries is None:
+            entries = _decode(self._key, self._items)
+            _set(self, "_entries", entries)
+        return entries
 
     def canonical(self) -> tuple:
         # an alias of ``entries``: only perfbench/workloads.py::query_text calls it
         return self.entries
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.level, self.entries))
+
+    def __repr__(self):
+        return f"Signature(level={self.level!r}, entries={self.entries!r})"
 
 
 class PieceTable:
@@ -75,7 +122,15 @@ class PieceTable:
         self._caches: dict = {}
 
     def cell_index(self, u_idx: int, v_idx: int) -> int:
-        return u_idx * len(self.instance.basisV) + v_idx
+        """The position of the cell (U_u_idx, V_v_idx) in ``cells``; an index
+        outside its basis is refused with ``ValueError``."""
+        n_u = len(self.instance.basisU.members)
+        n_v = len(self.instance.basisV.members)
+        if not 0 <= u_idx < n_u:
+            raise ValueError(f"U-index {u_idx} is not in range({n_u})")
+        if not 0 <= v_idx < n_v:
+            raise ValueError(f"V-index {v_idx} is not in range({n_v})")
+        return u_idx * n_v + v_idx
 
     def resolve_level(self, level) -> int:
         """Clamp a requested level (int or STABLE) to a stored table index ≥ 1."""
@@ -117,16 +172,23 @@ def _refine(cell_orbits, point_keys) -> list[dict[int, int]]:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _name(data, head: str, sep: str, names, items):
+def _decode(key: int, items) -> tuple:
+    """The items of a key's set bits, in ascending bit order."""
+    # via a list: a tuple grown from the bare iterator fragmented the
+    # small-object arenas (+0.7 MB peak RSS over 20 corpus rounds)
+    return tuple(list(compress(items, bin(key)[:1:-1].encode().translate(_BIT_BYTES))))
+
+
+def _name(data, head: str, sep: str, names):
     """Name a stored level: hash each distinct key once, check for collisions.
 
-    ``names[b]`` and ``items[b]`` are the payload text and the signature item
-    of key bit b; a key's set bits are decoded in ascending order, so its
-    payload is ``head`` plus its names joined by ``sep``.  Returns the level's
-    (pieceId, mask) blocks per cell and each new id's tuple of items.
+    ``names[b]`` is the payload text of key bit b; a key's set bits are read
+    in ascending order, so its payload is ``head`` plus its names joined by
+    ``sep``.  Returns the level's (pieceId, mask) blocks per cell and each
+    new id's key.
     """
     ids: dict[int, str] = {}
-    keys: dict[str, tuple] = {}
+    keys: dict[str, int] = {}
     for blocks in data:
         for key in blocks:
             if key not in ids:
@@ -135,17 +197,14 @@ def _name(data, head: str, sep: str, names, items):
                 pid = ids[key] = blake2b(payload, digest_size=8).hexdigest()
                 if pid in keys:
                     raise RuntimeError(f"piece-id hash collision on {pid}")
-                # via a list: a tuple grown from the bare iterator fragmented
-                # the small-object arenas (+0.7 MB peak RSS over 20 corpus rounds)
-                keys[pid] = tuple(list(compress(items, sel)))
+                keys[pid] = key
     return [[(ids[key], mask) for key, mask in blocks.items()] for blocks in data], keys
 
 
 def _block_keys(size: int, cells, prev_level):
     """Number the previous level's blocks in (cell, pid) order, the sorted
     order of their (n, m, pid) triples, and give each point the bitmask of
-    the blocks that hold it.  Returns the triples, their "n,m,pid" payload
-    names and the point keys."""
+    the blocks that hold it.  Returns the triples and the point keys."""
     triples = []
     point_keys = [0] * size
     for (n, m), blocks in zip(cells, prev_level):
@@ -154,7 +213,7 @@ def _block_keys(size: int, cells, prev_level):
             triples.append((n, m, pid))
             for p in to_list(mask):
                 point_keys[p] |= bit
-    return triples, [f"{n},{m},{pid}" for (n, m, pid) in triples], point_keys
+    return triples, point_keys
 
 
 def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level):
@@ -164,8 +223,10 @@ def successor_level(inst: ActionInstance, cells, cell_orbits, prev_level):
     signature key: the sorted (n, m, pid) triples.  Exposed separately so the
     oracle suites and the stabilization-bound check can re-run single steps.
     """
-    triples, names, point_keys = _block_keys(inst.size, cells, prev_level)
-    return _name(_refine(cell_orbits, point_keys), "s|", ";", names, triples)
+    triples, point_keys = _block_keys(inst.size, cells, prev_level)
+    names = [f"{n},{m},{pid}" for (n, m, pid) in triples]
+    data, keys = _name(_refine(cell_orbits, point_keys), "s|", ";", names)
+    return data, {pid: _decode(key, triples) for pid, key in keys.items()}
 
 
 def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
@@ -181,26 +242,27 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
     # level 1: key bit l stands for U_l
     level_keys = [mask_of(l for l, u in enumerate(membersU) if u >> p & 1) for p in range(inst.size)]
     point_keys = [level_keys]
+    keyed = _refine(cell_orbits, level_keys)
     head, sep, items = "1|", ",", range(len(membersU))
     names = list(map(str, items))
     levels, signatures = [], {}
-    while True:
-        keyed = _refine(cell_orbits, level_keys)
-        # keys hold the orbit's own previous piece, so levels refine: same counts, same partition
-        if levels and all(len(a) == len(b) for a, b in zip(keyed, levels[-1])):
-            break
-        data, keys = _name(keyed, head, sep, names, items)
+    for level in count(1):
+        data, keys = _name(keyed, head, sep, names)
         for pid, key in keys.items():
             # Payloads never repeat across levels (each level names the previous
             # level's ids), so an id already taken in this analysis is a collision.
             if pid in signatures:
                 raise RuntimeError(f"piece-id hash collision on {pid}")
-            signatures[pid] = Signature(len(levels) + 1, key)
+            signatures[pid] = Signature._of_key(level, key, items)
         levels.append(data)
-        triples, names, level_keys = _block_keys(inst.size, cells, data)
+        triples, level_keys = _block_keys(inst.size, cells, data)
         point_keys.append(level_keys)
+        keyed = _refine(cell_orbits, level_keys)
+        # keys hold the orbit's own previous piece, so levels refine: same counts, same partition
+        if all(len(a) == len(b) for a, b in zip(keyed, data)):
+            return PieceTable(inst, cells, cell_orbits, levels, point_keys, signatures, level)
         head, sep, items = "s|", ";", [(pid, n, m) for (n, m, pid) in triples]
-    return PieceTable(inst, cells, cell_orbits, levels, point_keys, signatures, len(levels))
+        names = [f"{n},{m},{pid}" for (n, m, pid) in triples]
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +271,13 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
 
 def _block_of(table: PieceTable, x: int, u_idx: int, v_idx: int, lvl: int):
     """The stored (pieceId, mask) block holding x at one cell, or None at level 0."""
+    ci = table.cell_index(u_idx, v_idx)
     if x < 0 or not table.instance.basisU[u_idx] >> x & 1:
         _check_point(table.instance, x)
         raise ValueError(f"point {x} is not in U_{u_idx}")
     if lvl == 0:
         return None
-    for block in table.levels[lvl - 1][table.cell_index(u_idx, v_idx)]:
+    for block in table.levels[lvl - 1][ci]:
         if block[1] >> x & 1:
             return block
     raise RuntimeError("piece table does not cover the cell (internal error)")
@@ -375,6 +438,7 @@ def piece_from_decomposition(table: PieceTable, x: int, u_idx: int, v_idx: int, 
     every level; part (b) is memoised per (level, orbit) by ``_orbit_hits``.
     """
     inst = table.instance
+    table.cell_index(u_idx, v_idx)  # refuses an index outside the bases
     u = inst.basisU[u_idx]
     v = inst.basisV[v_idx]
     if x < 0 or not u >> x & 1:

@@ -22,6 +22,7 @@ from functools import cached_property
 from .bits import bits, to_list, universe
 from .gspace import (
     ActionInstance,
+    _check_point,
     instance_from_families,
     orbit,
     translate_set,
@@ -193,7 +194,8 @@ def relative_pieces(
     if not (isinstance(alpha, int) and isinstance(gamma, int) and 1 <= gamma < alpha):
         raise ValueError("need levels 1 <= gamma < alpha")
     u = inst.basisU[u_idx]
-    if not (u >> x2 & 1) or not (orbit(inst, x) >> x2 & 1):
+    if x2 < 0 or not (u >> x2 & 1) or not (orbit(inst, x) >> x2 & 1):
+        _check_point(inst, x2)
         raise ValueError("x2 must lie in the orbit of x and in U")
     top_u = len(inst.basisU) - 1
     top_v = len(inst.basisV) - 1

@@ -49,6 +49,28 @@ def test_point_queries_refuse_points_outside_the_space(x):
             pytest.fail(name)
 
 
+@pytest.mark.parametrize("u_idx, v_idx", [(0, -1), (0, 2), (5, 0), (-1, 1)])
+def test_cell_queries_refuse_indices_outside_the_bases(u_idx, v_idx):
+    # z4pairs has 5 x 2 cells: (0, -1) used to answer the piece of the last
+    # cell, (0, 2) raised an "internal error" and (5, 0) a bare IndexError
+    t = analyze(named_instance("z4pairs"))
+    if 0 <= u_idx < 5:
+        text = f"^V-index {v_idx} is not in range\\(2\\)$"
+    else:
+        text = f"^U-index {u_idx} is not in range\\(5\\)$"
+    queries = {
+        "blocks": lambda: t.blocks(u_idx, v_idx, 1),
+        "piece": lambda: piece(t, 0, u_idx, v_idx, 1),
+        "piece at level 0": lambda: piece(t, 0, u_idx, v_idx, 0),
+        "signature": lambda: signature(t, 0, u_idx, v_idx, 1),
+        "piece_from_decomposition": lambda: piece_from_decomposition(t, 0, u_idx, v_idx, 1),
+    }
+    for name, query in queries.items():
+        with pytest.raises(ValueError, match=text):
+            query()
+            pytest.fail(name)
+
+
 def test_z4self_table_frozen():
     inst = named_instance("z4self")
     t = analyze(inst)

@@ -252,6 +252,50 @@ def test_only_stored_levels_are_hashed(monkeypatch):
         assert len(payloads) == len(set(payloads)) == len(t.signatures), key
 
 
+def _counting_decode(monkeypatch):
+    """Route the engine's signature decoding through a counter of its keys."""
+    keys = []
+    decode = scott._decode
+
+    def counted(key, items):
+        keys.append(key)
+        return decode(key, items)
+
+    monkeypatch.setattr(scott, "_decode", counted)
+    return keys
+
+
+def test_analyze_decodes_no_signature(monkeypatch):
+    decoded = _counting_decode(monkeypatch)
+    for key, inst in GOLDEN.items():
+        assert analyze(inst).signatures and not decoded, key
+
+
+def test_entries_are_decoded_once_on_first_read(monkeypatch):
+    decoded = _counting_decode(monkeypatch)
+    t = analyze(GOLDEN["z10l3"])
+    assert {sig.level for sig in t.signatures.values()} == {1, 2, 3}
+    for pid, sig in t.signatures.items():
+        before = len(decoded)
+        entries = sig.entries
+        assert len(decoded) == before + 1, pid
+        assert sig.entries is entries and len(decoded) == before + 1, pid
+
+
+def test_a_stored_signature_is_its_level_and_entries():
+    inst = GOLDEN["z10l3"]
+    _, eager = _ref_analyze(inst)
+    for pid, sig in analyze(inst).signatures.items():
+        # hashed before anything reads its entries, then compared both ways
+        assert hash(sig) == hash(eager[pid]) == hash((eager[pid].level, eager[pid].entries)), pid
+        assert sig == eager[pid] and eager[pid] == sig and {sig: pid}[eager[pid]] == pid
+        assert sig != Signature(sig.level + 1, sig.entries)
+        assert repr(sig) == f"Signature(level={sig.level}, entries={eager[pid].entries!r})"
+        for name in ("level", "entries", "_entries"):
+            with pytest.raises(AttributeError):
+                setattr(sig, name, None)
+
+
 def test_a_collision_within_a_stored_level_raises(monkeypatch):
     inst = GOLDEN["z10l3"]
     t = analyze(inst)

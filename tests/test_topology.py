@@ -193,6 +193,14 @@ def test_relative_pieces_validation():
         relative_pieces(t, 0, 3, 1, 2, 0, 0)  # 2 is not in U_0 = {0,1}
 
 
+@pytest.mark.parametrize("x2", [-1, 4])
+def test_relative_pieces_refuses_x2_outside_the_space(x2):
+    # x2 = -1 used to fail with a bare "negative shift count"
+    t = analyze(named_instance("z4pairs"))
+    with pytest.raises(ValueError, match=f"^point {x2} is not in the space of 4 points$"):
+        relative_pieces(t, 0, 2, 1, x2, 4, 1)
+
+
 def test_sub_family_is_the_relativized_refined_family():
     inst = named_instance("z4pairs")
     t = analyze(inst)
