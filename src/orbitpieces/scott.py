@@ -70,6 +70,7 @@ class Signature:
 
     @classmethod
     def _of_key(cls, level: int, key: int, items) -> Signature:
+        """The signature of ``key``, whose bit b stands for ``items[b]``."""
         sig = _new(cls)
         _set(sig, "level", level)
         _set(sig, "_entries", None)

@@ -193,6 +193,7 @@ def relative_pieces(
     inst = table.instance
     if not (isinstance(alpha, int) and isinstance(gamma, int) and 1 <= gamma < alpha):
         raise ValueError("need levels 1 <= gamma < alpha")
+    table.cell_index(u_idx, v_idx)  # refuses an index outside the bases
     u = inst.basisU[u_idx]
     if x2 < 0 or not (u >> x2 & 1) or not (orbit(inst, x) >> x2 & 1):
         _check_point(inst, x2)

@@ -201,6 +201,15 @@ def test_relative_pieces_refuses_x2_outside_the_space(x2):
         relative_pieces(t, 0, 2, 1, x2, 4, 1)
 
 
+def test_relative_pieces_refuses_cell_indices_outside_the_bases():
+    # u_idx = 5 used to fail with a bare IndexError on z4pairs' 5 x 2 cells
+    t = analyze(named_instance("z4pairs"))
+    with pytest.raises(ValueError, match=r"^U-index 5 is not in range\(5\)$"):
+        relative_pieces(t, 0, 2, 1, 0, 5, 1)
+    with pytest.raises(ValueError, match=r"^V-index 2 is not in range\(2\)$"):
+        relative_pieces(t, 0, 2, 1, 0, 4, 2)
+
+
 def test_sub_family_is_the_relativized_refined_family():
     inst = named_instance("z4pairs")
     t = analyze(inst)
