@@ -5,8 +5,8 @@ The classification ties together:
 1. eventual openness — every point has, for every V in the family, some cell
    (U_n, V_m) whose local orbit of x stays inside V·x;
 2. the invariant-containment law — every locally V_U-invariant set containing
-   x contains the whole piece of x (decided per cell by counting its blocks
-   against its local orbits);
+   x contains the whole level-1 piece of x (decided per cell by counting its
+   blocks against its local orbits);
 3. orbit completeness — the orbit of x equals its top-cell piece at level
    rank(x)+2;
 4. openness of the evaluation map in the refined topology at rank(x)+2.
@@ -60,15 +60,15 @@ def eventual_openness(inst: ActionInstance):
     return verdict, witnesses
 
 
-def _violation(n: int, m: int, lvl: int, blocks, a: int) -> dict | None:
-    """The record of the first block of cell (n, m) that the orbit union A
-    splits, with x the least point of A in it; None if A splits none."""
+def _violation(n: int, m: int, blocks, a: int) -> dict | None:
+    """The record of the first level-1 block of cell (n, m) that the orbit
+    union A splits, with x the least point of A in it; None if A splits none."""
     for _, mask in blocks:
         if mask & a and mask & ~a:
             return {
                 "u": n,
                 "v": m,
-                "alpha": lvl,
+                "alpha": 1,
                 "x": (mask & a & -(mask & a)).bit_length() - 1,
                 "witness_set": to_list(a),
                 "piece": to_list(mask),
@@ -79,10 +79,9 @@ def _violation(n: int, m: int, lvl: int, blocks, a: int) -> dict | None:
 def invariant_containment_check(
     inst: ActionInstance,
     table: PieceTable,
-    alpha: int = 1,
     seed: int = 0,
 ) -> dict:
-    """Check x ∈ A ⇒ piece(x) ⊆ A over locally invariant sets A, per cell.
+    """Check x ∈ A ⇒ B_1(x, U, V) ⊆ A over locally invariant sets A, per cell.
 
     Locally V_U-invariant sets are exactly unions of local orbits inside U
     joined with arbitrary subsets of X∖U; the verdict only depends on A∩U
@@ -111,11 +110,10 @@ def invariant_containment_check(
       the first that splits a block.
     """
     budget = BUDGET
-    lvl = table.resolve_level(alpha)
     violations: list[dict] = []
     checked = 0
     exhaustive = True
-    for (n, m), parts, blocks in zip(table.cells, table.cell_orbits, table.levels[lvl - 1]):
+    for (n, m), parts, blocks in zip(table.cells, table.cell_orbits, table.levels[0]):
         k = len(parts)
         small = inst.basisU[n].bit_count() <= 12 and (1 << k) <= budget
         exhaustive = exhaustive and small
@@ -125,17 +123,17 @@ def invariant_containment_check(
             alone = {mask for _, mask in blocks}
             i = next(i for i, part in enumerate(parts) if part not in alone)
             checked += 1 << i
-            violations.append(_violation(n, m, lvl, blocks, parts[i]))
+            violations.append(_violation(n, m, blocks, parts[i]))
         else:
             rng = random.Random(f"invariant:{seed}:{n}:{m}")
             for _ in range(budget):
                 checked += 1
-                found = _violation(n, m, lvl, blocks, union_over(parts, rng.randrange(1, 1 << k)))
+                found = _violation(n, m, blocks, union_over(parts, rng.randrange(1, 1 << k)))
                 if found:
                     violations.append(found)
                     break
     return {
-        "level": lvl,
+        "level": 1,
         "verdict": not violations,
         "violations": violations,
         "exhaustive": exhaustive,
@@ -168,7 +166,7 @@ def classification_report(
     top_u = len(inst.basisU) - 1
     top_v = len(inst.basisV) - 1
     ev_verdict, witnesses = eventual_openness(inst)
-    inv = invariant_containment_check(inst, table, 1, seed)
+    inv = invariant_containment_check(inst, table, seed)
 
     points = []
     flags: list[str] = []

@@ -902,8 +902,6 @@ def _suite_subs(ctx: _Ctx):
             ctx.fail("subs", "relative-instance-refused", (u_idx, v_idx), severity="report",
                      x=x, x2=x2, alpha=alpha, gamma=gamma, reason=str(err))
             continue
-        except ValueError:  # D empty or missing from the relative family
-            continue
         tried += 1
         betas = list(range(0, table.stabilization + 2)) + [STABLE]
         for y in bits(rel.d_parent):

@@ -30,7 +30,7 @@ loop over cells and keeps no state between analyses.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress, count
 
@@ -48,53 +48,31 @@ class _Stable:
 
 STABLE = _Stable()
 
-_new = object.__new__
-_set = object.__setattr__
 
-
+@dataclass(frozen=True, eq=False, repr=False)
 class Signature:
     """Canonical level invariant, stored in canonical order: the sorted
     U-indices at level 1, and (pid, n, m) triples ordered by (n, m, pid) above.
 
-    ``analyze`` keeps each signature as the integer key it already has and
-    the level's shared ``items``, one per key bit, and ``entries`` decodes
-    the key on first read and caches the tuple.  Equality, hash and repr
-    are those of (level, entries), and the object is immutable.
+    ``analyze`` stores the integer key it already has and the level's shared
+    ``items``, one per key bit; ``entries`` decodes the key on first read and
+    caches the tuple.  Equality, hash and repr are those of (level, entries).
     """
 
-    __slots__ = ("level", "_entries", "_key", "_items")
-
-    def __init__(self, level: int, entries: tuple):
-        _set(self, "level", level)
-        _set(self, "_entries", entries)
-
-    @classmethod
-    def _of_key(cls, level: int, key: int, items) -> Signature:
-        """The signature of ``key``, whose bit b stands for ``items[b]``."""
-        sig = _new(cls)
-        _set(sig, "level", level)
-        _set(sig, "_entries", None)
-        _set(sig, "_key", key)
-        _set(sig, "_items", items)
-        return sig
+    level: int
+    _entries: tuple | None = None
+    _key: int = 0
+    _items: object = ()
 
     @property
     def entries(self) -> tuple:
-        entries = self._entries
-        if entries is None:
-            entries = _decode(self._key, self._items)
-            _set(self, "_entries", entries)
-        return entries
+        if self._entries is None:
+            object.__setattr__(self, "_entries", _decode(self._key, self._items))
+        return self._entries
 
     def canonical(self) -> tuple:
         # an alias of ``entries``: only perfbench/workloads.py::query_text calls it
         return self.entries
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -254,7 +232,7 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
             # level's ids), so an id already taken in this analysis is a collision.
             if pid in signatures:
                 raise RuntimeError(f"piece-id hash collision on {pid}")
-            signatures[pid] = Signature._of_key(level, key, items)
+            signatures[pid] = Signature(level, None, key, items)
         levels.append(data)
         triples, level_keys = _block_keys(inst.size, cells, data)
         point_keys.append(level_keys)

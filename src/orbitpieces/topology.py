@@ -186,9 +186,14 @@ def relative_pieces(
 
     The subspace ground is the top-cell piece B_α(x, X, G); its U-family is
     the relativized refined-family enumeration taken verbatim (empty traces
-    dropped), which contains the distinguished set D = ground ∩
-    B_γ(x2, U, V).  The V-family is unchanged.  Requires 1 ≤ γ < α and x2 in
+    dropped), and the V-family is unchanged.  Requires 1 ≤ γ < α and x2 in
     the orbit of x inside U.
+
+    The sub-family always holds the distinguished set D = ground ∩
+    B_γ(x2, U, V).  The top-cell piece is a union of G-orbits, so x2 ∈ G·x ⊆
+    ground, and D ∋ x2 is not empty.  B_γ(x2, U, V) is a member of ℬˣ_{<α},
+    since min(γ, L) ≤ min(α−1, L), and its trace on ground is D.  So D's
+    sub-mask is either a sub-family member or the full set, appended last.
     """
     inst = table.instance
     if not (isinstance(alpha, int) and isinstance(gamma, int) and 1 <= gamma < alpha):
@@ -237,11 +242,5 @@ def relative_pieces(
         name=f"{inst.name or 'instance'}/refined",
     )
     sub_table = analyze(sub)
-    d_sub = to_sub(d_parent)
-    try:
-        d_index = sub.basisU.index(d_sub)
-    except KeyError:
-        raise ValueError(
-            "distinguished set D is empty or missing from the relative family"
-        ) from None
+    d_index = sub.basisU.index(to_sub(d_parent))
     return RelativeAnalysis(sub, sub_table, pts, ground, d_parent, d_index)

@@ -140,7 +140,7 @@ def test_named_counterexample_regressions():
     assert to_list(pairs.basisV[0]) == [0, 2]
     u_sets = [to_list(u) for u in pairs.basisU.members]
     assert [0, 1] in u_sets and [2, 3] in u_sets and [0, 1, 2, 3] in u_sets
-    out = invariant_containment_check(pairs, analyze(pairs), 1)
+    out = invariant_containment_check(pairs, analyze(pairs))
     assert out["verdict"] is False and out["exhaustive"] is True
     assert out["violations"][0] == {
         "u": 4,

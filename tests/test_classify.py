@@ -23,10 +23,9 @@ from orbitpieces.gspace import (
     named_instance,
     orbit,
 )
-from orbitpieces.scott import STABLE, analyze
+from orbitpieces.scott import analyze
 
 strict_seeds = st.integers(min_value=0, max_value=150)
-ALPHAS = (1, 2, 3, STABLE)
 
 
 def test_condition_keys():
@@ -61,7 +60,7 @@ def test_eventual_openness_z4coarse():
 def test_invariant_containment_z4pairs_violation():
     inst = named_instance("z4pairs")
     t = analyze(inst)
-    out = invariant_containment_check(inst, t, 1)
+    out = invariant_containment_check(inst, t)
     assert not out["verdict"]
     assert out["exhaustive"]
     assert out["level"] == 1
@@ -75,23 +74,13 @@ def test_invariant_containment_z4pairs_violation():
     }
 
 
-def test_invariant_containment_z4pairs_clean_at_stable_level():
-    # at the stable level the pieces inside the top cell are exactly the
-    # rotation classes, which every orbit union respects
-    inst = named_instance("z4pairs")
-    t = analyze(inst)
-    out = invariant_containment_check(inst, t, 2)
-    assert out["verdict"]
-    assert out["violations"] == []
-
-
 def test_invariant_containment_budget_sampling(monkeypatch):
     # with 2 draws per cell every cell is sampled, and the failing top cell
     # replays its draws; the record was taken from the enumerating check
     inst = named_instance("z4pairs")
     t = analyze(inst)
     monkeypatch.setattr(classify, "BUDGET", 2)  # read at call time
-    tiny = invariant_containment_check(inst, t, 1, seed=5)
+    tiny = invariant_containment_check(inst, t, seed=5)
     assert tiny == {
         "level": 1,
         "verdict": False,
@@ -102,7 +91,7 @@ def test_invariant_containment_budget_sampling(monkeypatch):
         "checked": 14,
         "budget": 2,
     }
-    again = invariant_containment_check(inst, t, 1, seed=5)
+    again = invariant_containment_check(inst, t, seed=5)
     assert tiny == again  # seeded sampling is reproducible
 
 
@@ -122,7 +111,7 @@ def test_invariant_containment_sampled_cell_fails_at_its_first_split():
     inst = _z14win()
     t = analyze(inst)
     assert len(t.cells) == 87
-    assert invariant_containment_check(inst, t, 1) == {
+    assert invariant_containment_check(inst, t) == {
         "level": 1,
         "verdict": False,
         "violations": [
@@ -311,13 +300,11 @@ def test_containment_check_matches_full_enumeration(monkeypatch):
     seen = set()
     for key, inst in _containment_corpus():
         t = analyze(inst)
-        for alpha in ALPHAS:
-            for budget in (2, 8, 64, 4096):
-                monkeypatch.setattr(classify, "BUDGET", budget)
-                got = invariant_containment_check(inst, t, alpha, seed=3)
-                assert got == _enumerated_containment(inst, t, alpha, seed=3, full=True), (
-                    key, alpha, budget)
-                seen.add((got["verdict"], got["exhaustive"]))
+        for budget in (2, 8, 64, 4096):
+            monkeypatch.setattr(classify, "BUDGET", budget)
+            got = invariant_containment_check(inst, t, seed=3)
+            assert got == _enumerated_containment(inst, t, seed=3, full=True), (key, budget)
+            seen.add((got["verdict"], got["exhaustive"]))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -333,10 +320,9 @@ def _sweep():
 def test_containment_check_matches_enumeration_on_the_sweep():
     verdicts = set()
     for key, inst, t in _sweep():
-        for alpha in ALPHAS:
-            got = invariant_containment_check(inst, t, alpha)
-            assert got == _enumerated_containment(inst, t, alpha), (key, alpha)
-            verdicts.add(got["verdict"])
+        got = invariant_containment_check(inst, t)
+        assert got == _enumerated_containment(inst, t), key
+        verdicts.add(got["verdict"])
     assert verdicts == {True, False}
 
 

@@ -473,6 +473,9 @@ def test_generate_stdout_and_file(capsys, tmp_path):
     code, out, _ = run(capsys, "generate", "--template", "cyclic", "--n", "5")
     assert code == 0 and parse_instance(out).size == 5
 
+    code, out, _ = run(capsys, "generate", "--template", "random", "--seed", "3")
+    assert code == 0 and serialize_instance(parse_instance(out)) == serialize_instance(make_random(3))
+
     code, _, err = run(capsys, "generate", "--template", "bogus")
     assert code == 1 and "unknown template" in err
 

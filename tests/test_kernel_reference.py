@@ -336,13 +336,13 @@ def test_cli_stages_match_the_references(capsys, kind):
     for u_idx, u in enumerate(inst.basisU):
         for v_idx, v in enumerate(inst.basisV):
             for a in (0b0010, 0b1101, 0b1111):
-                for n in (1, 2, 10**9):
+                for n in (1, 2, 10**9, None):  # no --stage: the limit, stage |U|+1
+                    stage = () if n is None else ("--stage", str(n))
                     assert main(["transform", "--instance", "z4self", "--kind", kind,
                                  "--set", ",".join(map(str, to_list(a))),
-                                 "--u", str(u_idx), "--v", str(v_idx),
-                                 "--stage", str(n), "--json"]) == 0
+                                 "--u", str(u_idx), "--v", str(v_idx), *stage, "--json"]) == 0
                     got = json.loads(capsys.readouterr().out)["transform"]
-                    want = ref(inst, a, u, v, min(n, u.bit_count() + 1))
+                    want = ref(inst, a, u, v, min(n or 10**9, u.bit_count() + 1))
                     assert got == to_list(want), (a, u_idx, v_idx, n)
 
 

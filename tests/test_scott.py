@@ -125,6 +125,8 @@ def test_piece_level_semantics():
         t.resolve_level("stable")
     with pytest.raises(ValueError):
         signature(t, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="levels >= 1"):
+        t.blocks(0, 0, 0)
 
 
 def test_blocks_ordered_by_least_point():

@@ -14,6 +14,7 @@ open-map verdict; tables, ranks and verdicts must agree exactly.
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from hashlib import blake2b
 from itertools import islice
 
@@ -294,6 +295,13 @@ def test_a_stored_signature_is_its_level_and_entries():
         for name in ("level", "entries", "_entries"):
             with pytest.raises(AttributeError):
                 setattr(sig, name, None)
+        for s in (sig, eager[pid]):
+            assert s != (s.level, s.entries)  # another type: __eq__ declines
+            with pytest.raises(FrozenInstanceError):
+                del s.level
+            for name in ("level", "entries", "_entries"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(s, name, None)
 
 
 def test_a_collision_within_a_stored_level_raises(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,25 @@ def test_relative_pieces_distinguished_full():
         [0, 2], [1, 3],
         [0, 1, 2, 3],
     ]
+
+
+def test_relative_pieces_always_finds_the_distinguished_set():
+    # the docstring's proof that D is a sub-family member, on seeded draws
+    rng = random.Random("relative-d")
+    insts = [named_instance(k) for k in NAMED_INSTANCES]
+    insts += [make_random(s, strict=strict) for s in range(64) for strict in (False, True)]
+    for inst in insts:
+        t = analyze(inst)
+        for _ in range(30):
+            x = rng.randrange(inst.size)
+            orb = orbit(inst, x)
+            u_idx = rng.choice([n for n, u in enumerate(inst.basisU) if u & orb])
+            x2 = rng.choice(to_list(orb & inst.basisU[u_idx]))
+            alpha = rng.randrange(2, t.stabilization + 3)
+            rel = relative_pieces(t, x, alpha, rng.randrange(1, alpha), x2, u_idx,
+                                  rng.randrange(len(inst.basisV)))
+            assert rel.to_parent(rel.sub_instance.basisU[rel.d_index]) == rel.d_parent
+            assert rel.d_parent >> x2 & 1
 
 
 def test_relative_pieces_validation():
