@@ -99,12 +99,14 @@ class PieceTable:
         self.signatures = signatures
         self.stabilization = stabilization
         self._caches: dict = {}
+        # the basis lengths, read by every cell lookup
+        self._n_u = len(instance.basisU.members)
+        self._n_v = len(instance.basisV.members)
 
     def cell_index(self, u_idx: int, v_idx: int) -> int:
         """The position of the cell (U_u_idx, V_v_idx) in ``cells``; an index
         outside its basis is refused with ``ValueError``."""
-        n_u = len(self.instance.basisU.members)
-        n_v = len(self.instance.basisV.members)
+        n_u, n_v = self._n_u, self._n_v
         if not 0 <= u_idx < n_u:
             raise ValueError(f"U-index {u_idx} is not in range({n_u})")
         if not 0 <= v_idx < n_v:
@@ -251,7 +253,7 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
 def _block_of(table: PieceTable, x: int, u_idx: int, v_idx: int, lvl: int):
     """The stored (pieceId, mask) block holding x at one cell, or None at level 0."""
     ci = table.cell_index(u_idx, v_idx)
-    if x < 0 or not table.instance.basisU[u_idx] >> x & 1:
+    if x < 0 or not table.instance.basisU.members[u_idx] >> x & 1:
         _check_point(table.instance, x)
         raise ValueError(f"point {x} is not in U_{u_idx}")
     if lvl == 0:

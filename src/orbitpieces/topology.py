@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .bits import bits, to_list, universe
 from .gspace import (
@@ -27,7 +28,7 @@ from .gspace import (
     orbit,
     translate_set,
 )
-from .scott import STABLE, PieceTable, analyze, piece
+from .scott import _BIT_BYTES, STABLE, PieceTable, analyze, piece
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,13 @@ def open_map_check(table: PieceTable, x: int, alpha) -> tuple[bool, int | None]:
     translation-closed family have one width, so a shared key decides; only a
     strictly wider key needs a subset test.  The answer depends on x and α only
     through (orbit, β), and is memoised per (orbit, β) on the table.
+
+    Two set sizes decide the common case.  If the orbit's keys are pairwise
+    distinct (as many distinct keys as points) and share one bit count (one
+    distinct width), then K[y] ⊆ K[z] forces K[y] = K[z], since a subset with
+    as many bits is the whole set, and so z = y.  So N(y) ∩ orb = {y} for every
+    y and the verdict is (True, None): the witness loop meets no shared key
+    and no strictly wider one, so it never stops.  Every other orbit runs it.
     """
     top_beta = _top_piece_level(table, alpha)
     orb = orbit(table.instance, x)
@@ -135,15 +143,18 @@ def open_map_check(table: PieceTable, x: int, alpha) -> tuple[bool, int | None]:
     key = (orb, top_beta)
     verdict = memo.get(key)
     if verdict is None:
-        pts = to_list(orb)
-        own = [table.point_keys[top_beta][y] for y in pts]
-        count = Counter(own)
-        widest = max(k.bit_count() for k in count)
+        keys = table.point_keys[top_beta]
+        distinct = set(compress(keys, bin(orb)[:1:-1].encode().translate(_BIT_BYTES)))
         verdict = True, None
-        for y, k in zip(pts, own):
-            if count[k] > 1 or k.bit_count() < widest and any(w != k and not k & ~w for w in count):
-                verdict = False, y
-                break
+        if len(distinct) < orb.bit_count() or len(set(map(int.bit_count, distinct))) > 1:
+            pts = to_list(orb)
+            own = [keys[y] for y in pts]
+            count = Counter(own)
+            widest = max(k.bit_count() for k in count)
+            for y, k in zip(pts, own):
+                if count[k] > 1 or k.bit_count() < widest and any(w != k and not k & ~w for w in count):
+                    verdict = False, y
+                    break
         memo[key] = verdict
     return verdict
 
