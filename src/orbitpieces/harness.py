@@ -755,9 +755,9 @@ def _suite_hist(ctx: _Ctx):
         x = ctx.point_in(u)
         lvl = ctx.rng.randrange(1, table.stabilization + 2)
         lhs = translate_set(inst, piece(table, x, n, m, lvl), h)
+        hu, hv = translate_set(inst, u, h), conjugate(v, h, inst.group)
         try:
-            n2 = ctx.U.index(translate_set(inst, u, h))
-            m2 = ctx.V.index(conjugate(v, h, inst.group))
+            n2, m2 = ctx.U.index(hu), ctx.V.index(hv)
         except KeyError:  # only a family that is not closed under G lacks a translate
             ctx.fail("hist", "translated-cell-outside-family", (n, m), severity=ctx.sev, h=h)
             continue
@@ -808,9 +808,9 @@ def _suite_list(ctx: _Ctx):
                     hui = translate_set(inst, ui, h)
                     if not hui >> y & 1:
                         continue
+                    hv = conjugate(ctx.V[m], h, inst.group)
                     try:
-                        j = ctx.U.index(hui)
-                        m2 = ctx.V.index(conjugate(ctx.V[m], h, inst.group))
+                        j, m2 = ctx.U.index(hui), ctx.V.index(hv)
                     except KeyError:  # a translate outside the family is not a cell
                         continue
                     if is_subset(piece(table, y, j, m2, alpha), sat):
