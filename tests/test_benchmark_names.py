@@ -11,6 +11,7 @@ Both files are loaded here, not copies of their lists or calls.
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +85,16 @@ def test_the_workloads_build_and_call_the_library():
     report, _table, _inst = w.run_op(small)
     assert set(report["conditions"]) == {
         "eventually_open", "invariant_containment", "orbit_equals_final_piece", "open_map"}
+
+
+def test_query_tail_reads_one_wide_round():
+    # tools/query_tail.py runs the workloads' own operations and queries
+    tool = PERFBENCH.parent / "tools" / "query_tail.py"
+    proc = subprocess.run([sys.executable, str(tool), "--workload", "wide", "--rounds", "1"],
+                          capture_output=True, text=True, timeout=120, check=True)
+    head, tail, *kinds = proc.stdout.splitlines()
+    assert head.startswith("wide seed 0, 1 rounds, ") and " p99 " in head
+    n_tail = int(tail.split()[2])
+    counts = {line.split()[0]: int(line.split()[1]) for line in kinds}
+    assert set(counts) <= {"piece", "signature", "local_orbit", "scott_rank", "open_map_check"}
+    assert sum(counts.values()) == n_tail > 0

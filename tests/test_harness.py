@@ -5,6 +5,7 @@ import importlib.util
 import json
 import sys
 import weakref
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,8 @@ from orbitpieces.harness import (
     serialize_analysis,
     serialize_instance,
 )
+
+from test_scott_reference import NON_CLOSED_SEEDS, _non_closed
 
 
 def test_suite_vocabulary_is_stable():
@@ -455,3 +458,59 @@ def test_subs_logs_refused_sub_instances(monkeypatch):
     for entry in log:
         assert (entry["check"], entry["severity"]) == ("relative-instance-refused", "report")
         assert {"x", "x2", "alpha", "gamma"} <= set(entry["witness"])
+
+
+def test_translates_outside_a_family_that_is_not_closed_are_logged():
+    # exploratory families are taken verbatim, so a translate of a cell can be
+    # no member: list skips it, since it is not a cell, and hist logs it
+    checks = set()
+    for seed in range(NON_CLOSED_SEEDS):
+        log = run_oracles(_non_closed(seed))
+        assert all(e["severity"] == "report" for e in log), seed
+        checks |= {(e["suite"], e["check"]) for e in log}
+    assert ("hist", "translated-cell-outside-family") in checks
+
+
+# Kernels the suites call by harness's own names, each returning a mask.
+# ``reach_sets`` is left out: a corrupted reach set breaks the kernel contract
+# and ``delta`` refuses it ("transform over empty set").  ``translate_set`` is
+# left out too: ``hist`` then asks ``piece`` for h·x in a cell that does not
+# hold it, and the engine refuses.
+MUTATED_KERNELS = (
+    "act_image", "cached_reach", "conjugate", "delta", "local_delta", "local_orbit",
+    "local_star", "orbit", "piece", "piece_from_decomposition", "reach_common",
+    "saturate", "saturate_by_parts", "star",
+)
+
+
+def _flip_every_fifth(kernel):
+    """``kernel`` with bit 0 of every fifth int result flipped."""
+    calls = count(1)
+
+    def mutant(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        if type(out) is int and next(calls) % 5 == 0:
+            return out ^ 1
+        return out
+
+    return mutant
+
+
+def test_failing_checks_write_json_witnesses(monkeypatch):
+    # A corrupted kernel makes most checks fire, so each ``ctx.fail`` builds
+    # its witness; every log must come back unchanged through the writer.
+    instances = [named_instance(k) for k in NAMED_INSTANCES]
+    instances += [make_random(s) for s in range(8)]
+    instances += [make_random(s, strict=True) for s in range(6)]
+
+    def logs():
+        return [run_oracles(inst, trials=8) for inst in instances]
+
+    clean = logs()
+    for name in MUTATED_KERNELS:
+        with monkeypatch.context() as m:
+            m.setattr(harness, name, _flip_every_fifth(getattr(harness, name)))
+            mutated = logs()
+        assert mutated != clean, name
+        for log in mutated:
+            assert json.loads(canonical_json(log)) == log, name

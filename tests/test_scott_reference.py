@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import FrozenInstanceError
 from hashlib import blake2b
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -461,6 +461,30 @@ def test_queries_match_the_references_on_families_that_are_not_translation_close
                           for orb in set(inst.orbits))
     # the sweep reaches stabilization 3 and checks orbits whose keys differ in width
     assert max(stabilizations) >= 3 and uneven
+
+
+def test_cold_open_map_matches_the_minimal_neighbourhoods():
+    # every call on a cold table, at the least point of every orbit: the
+    # benchmark's shapes (the corpus) and families that are not closed
+    seen = set()
+    non_closed = ((f"nonclosed{s}", _non_closed(s)) for s in range(NON_CLOSED_SEEDS))
+    for key, inst in chain(_corpus(), non_closed):
+        t = analyze(inst)
+        for orb in set(inst.orbits):
+            x = (orb & -orb).bit_length() - 1
+            for alpha in [*range(1, t.stabilization + 3), STABLE]:
+                t._caches.clear()
+                verdict = open_map_check(t, x, alpha)
+                assert verdict == _ref_open_map(t, x, alpha), (key, x, alpha)
+                beta = t.stabilization if alpha is STABLE else min(alpha - 1, t.stabilization)
+                own = [t.point_keys[beta][y] for y in bits(orb)]
+                distinct = len(set(own)) == len(own)
+                seen.add((verdict[0], distinct, len({k.bit_count() for k in own}) == 1))
+    # (verdict, keys distinct, one width): a True the set sizes decide, a False
+    # from a shared key, a False from a strictly wider key, and a True over
+    # keys of unequal width that only the witness loop decides
+    assert {(True, True, True), (False, False, True), (False, True, False),
+            (True, True, False)} <= seen
 
 
 # ---------------------------------------------------------------------------
