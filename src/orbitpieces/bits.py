@@ -1,8 +1,19 @@
-"""Subsets of {0, ..., n-1} represented as int bitmasks."""
+"""Subsets of {0, ..., n-1} represented as int bitmasks.
+
+``bits`` and ``to_list`` read a mask below 2^16 from two byte tables (Knuth,
+*TAOCP* Vol. 4A, §7.1.3): ``_LO[b]`` holds the set bit positions of the byte
+b, ``_HI[b]`` the same positions plus 8.  A wider mask is walked one set bit
+at a time, as is a negative one: the guard ``not mask >> 16`` is false for
+every negative int, so no table answers for it.  ``tools/bits_micro.py``
+times both paths at several widths.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+
+_LO = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+_HI = [tuple(i + 8 for i in lo) for lo in _LO]
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -12,21 +23,38 @@ def mask_of(items: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def _walk(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
-def to_list(mask: int) -> list[int]:
-    """The set bit positions of ``mask`` in increasing order, as a list.
+def bits(mask: int) -> Iterable[int]:
+    """The set bit positions of ``mask`` in increasing order, to iterate once.
 
-    The loop is written out rather than drawn from ``bits``: the set kernels
-    list each operand once per call, and a generator costs a frame resume
-    per element.
+    Below 2^16 this is a shared tuple from the byte tables; a wider or
+    negative mask gives a generator over its set bits.
     """
+    if not mask >> 8:
+        return _LO[mask]
+    if not mask >> 16:
+        return _LO[mask & 255] + _HI[mask >> 8]
+    return _walk(mask)
+
+
+def to_list(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in increasing order, as a fresh list.
+
+    Below 2^16 the list is built from the byte tables.  Wider masks run the
+    loop written out rather than drawn from ``bits``: the set kernels list
+    each operand once per call, and a generator costs a frame resume per
+    element.
+    """
+    if not mask >> 8:
+        return [*_LO[mask]]
+    if not mask >> 16:
+        return [*_LO[mask & 255], *_HI[mask >> 8]]
     out = []
     while mask:
         low = mask & -mask

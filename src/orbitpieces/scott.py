@@ -215,6 +215,13 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
 
     ``workers`` is accepted and ignored: the engine is single-threaded, and the
     keyword stays only because perfbench/bench.py still passes ``workers=2``.
+
+    The stable level L is the first α whose successor has, in every cell, as
+    many blocks as α.  When every cell's α-blocks are already its local
+    orbits, α is that level without refining once more: every piece is a
+    union of local orbits, so a cell never has more blocks than orbits, and
+    levels refine, so the α+1 blocks are the α blocks again.  The table and
+    ``point_keys`` are then the ones the extra refinement would return.
     """
     membersU = inst.basisU.members
     membersV = inst.basisV.members
@@ -238,12 +245,15 @@ def analyze(inst: ActionInstance, workers: int = 1) -> PieceTable:
         levels.append(data)
         triples, level_keys = _block_keys(inst.size, cells, data)
         point_keys.append(level_keys)
+        if all(len(blocks) == len(parts) for blocks, parts in zip(data, cell_orbits)):
+            break
         keyed = _refine(cell_orbits, level_keys)
         # keys hold the orbit's own previous piece, so levels refine: same counts, same partition
         if all(len(a) == len(b) for a, b in zip(keyed, data)):
-            return PieceTable(inst, cells, cell_orbits, levels, point_keys, signatures, level)
+            break
         head, sep, items = "s|", ";", [(pid, n, m) for (n, m, pid) in triples]
         names = [f"{n},{m},{pid}" for (n, m, pid) in triples]
+    return PieceTable(inst, cells, cell_orbits, levels, point_keys, signatures, level)
 
 
 # ---------------------------------------------------------------------------

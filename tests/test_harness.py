@@ -473,23 +473,21 @@ def test_translates_outside_a_family_that_is_not_closed_are_logged():
 
 # Kernels the suites call by harness's own names, each returning a mask.
 # ``reach_sets`` is left out: a corrupted reach set breaks the kernel contract
-# and ``delta`` refuses it ("transform over empty set").  ``translate_set`` is
-# left out too: ``hist`` then asks ``piece`` for h·x in a cell that does not
-# hold it, and the engine refuses.
+# and ``delta`` refuses it ("transform over empty set").
 MUTATED_KERNELS = (
     "act_image", "cached_reach", "conjugate", "delta", "local_delta", "local_orbit",
     "local_star", "orbit", "piece", "piece_from_decomposition", "reach_common",
-    "saturate", "saturate_by_parts", "star",
+    "saturate", "saturate_by_parts", "star", "translate_set",
 )
 
 
-def _flip_every_fifth(kernel):
-    """``kernel`` with bit 0 of every fifth int result flipped."""
+def _flip_every_fifth(kernel, first: int = 5):
+    """``kernel`` with bit 0 of every fifth int result flipped, from the ``first``-th."""
     calls = count(1)
 
     def mutant(*args, **kwargs):
         out = kernel(*args, **kwargs)
-        if type(out) is int and next(calls) % 5 == 0:
+        if type(out) is int and (next(calls) - first) % 5 == 0:
             return out ^ 1
         return out
 
@@ -514,3 +512,12 @@ def test_failing_checks_write_json_witnesses(monkeypatch):
         assert mutated != clean, name
         for log in mutated:
             assert json.loads(canonical_json(log)) == log, name
+
+
+def test_hist_logs_a_translated_cell_without_the_translated_point(monkeypatch):
+    # The corrupted translate of U_n is still a family member, but one that
+    # does not hold h·x; the engine would refuse to look h·x up in it.  From
+    # the 2nd result on, the first such translate comes with U_2 at x = 0.
+    monkeypatch.setattr(harness, "translate_set", _flip_every_fifth(harness.translate_set, 2))
+    log = run_oracles(make_random(1, strict=True), trials=8)
+    assert ("hist", "piece-equivariance") in {(e["suite"], e["check"]) for e in log}

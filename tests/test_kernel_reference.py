@@ -29,6 +29,9 @@ stage 1 and at a later stage are checked on their own.
 ``subgroup_closure`` and ``all_subgroups`` share one breadth-first closure
 under right multiplication; ``ref_subgroup_closure`` is the earlier loop over
 every pair of the current set in every round.
+
+The references list a mask's points with ``ref_bits``, one position at a
+time, not with ``orbitpieces.bits``, whose listers the kernels themselves use.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from orbitpieces.algebra import (
     group_from_table,
     subgroup_closure,
 )
-from orbitpieces.bits import bits, to_list
 from orbitpieces.cli import main
 from orbitpieces.gspace import (
     NAMED_INSTANCES,
@@ -87,6 +89,13 @@ from orbitpieces.transforms import (
 )
 from test_scott_reference import _wide_corpus
 
+
+def ref_bits(m: int) -> list[int]:
+    """The set bit positions of ``m`` in increasing order, read one position
+    at a time, so that no reference shares ``orbitpieces.bits``'s lister."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
 INSTANCES = (
     [named_instance(k) for k in NAMED_INSTANCES]
     + [make_random(s) for s in range(32)]
@@ -97,28 +106,28 @@ INSTANCES = (
 def ref_translate_set(inst, a, g):
     row = inst.act[g]
     m = 0
-    for x in bits(a):
+    for x in ref_bits(a):
         m |= 1 << row[x]
     return m
 
 
 def ref_act_image(inst, a, v):
     m = 0
-    for g in bits(v):
+    for g in ref_bits(v):
         m |= ref_translate_set(inst, a, g)
     return m
 
 
 def ref_delta(inst, a, h):
     out = 0
-    for g in bits(h):
+    for g in ref_bits(h):
         out |= ref_translate_set(inst, a, inst.group.inv[g])
     return out
 
 
 def ref_star(inst, a, h):
     out = inst.full_points
-    for g in bits(h):
+    for g in ref_bits(h):
         out &= ref_translate_set(inst, a, inst.group.inv[g])
     return out
 
@@ -131,8 +140,8 @@ def ref_reach_sets(inst, x, u, v, depth=None):
     n = 0
     while depth is None or n < depth:
         nxt = cur
-        for h in bits(cur):
-            for g in bits(v):
+        for h in ref_bits(cur):
+            for g in ref_bits(v):
                 gh = mul[g][h]
                 if u >> act[gh][x] & 1:
                     nxt |= 1 << gh
@@ -249,7 +258,7 @@ def _check_fixpoints(inst, rng):
     for v in _neighbourhoods(inst, rng):
         nb = point_images(inst, v)
         back = point_images(inst, v, inverse=True)
-        if all(v >> inv[g] & 1 for g in to_list(v)):
+        if all(v >> inv[g] & 1 for g in ref_bits(v)):
             assert nb == back
         for p in range(inst.size):
             assert nb[p] == act_image(inst, 1 << p, v)
@@ -339,11 +348,11 @@ def test_cli_stages_match_the_references(capsys, kind):
                 for n in (1, 2, 10**9, None):  # no --stage: the limit, stage |U|+1
                     stage = () if n is None else ("--stage", str(n))
                     assert main(["transform", "--instance", "z4self", "--kind", kind,
-                                 "--set", ",".join(map(str, to_list(a))),
+                                 "--set", ",".join(map(str, ref_bits(a))),
                                  "--u", str(u_idx), "--v", str(v_idx), *stage, "--json"]) == 0
                     got = json.loads(capsys.readouterr().out)["transform"]
                     want = ref(inst, a, u, v, min(n or 10**9, u.bit_count() + 1))
-                    assert got == to_list(want), (a, u_idx, v_idx, n)
+                    assert got == ref_bits(want), (a, u_idx, v_idx, n)
 
 
 def _fresh_instances():
@@ -721,10 +730,10 @@ def ref_subgroup_closure(seed, g):
     cur = seed | 1
     while True:
         nxt = cur
-        for a in bits(cur):
+        for a in ref_bits(cur):
             nxt |= 1 << g.inv[a]
             row = g.mul[a]
-            for b in bits(cur):
+            for b in ref_bits(cur):
                 nxt |= 1 << row[b]
         if nxt == cur:
             return cur
