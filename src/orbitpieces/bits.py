@@ -3,9 +3,9 @@
 ``bits`` and ``to_list`` read a mask below 2^16 from two byte tables (Knuth,
 *TAOCP* Vol. 4A, §7.1.3): ``_LO[b]`` holds the set bit positions of the byte
 b, ``_HI[b]`` the same positions plus 8.  A wider mask is walked one set bit
-at a time, as is a negative one: the guard ``not mask >> 16`` is false for
-every negative int, so no table answers for it.  ``tools/bits_micro.py``
-times both paths at several widths.
+at a time, as is a negative one: the guards ``not mask >> 8`` and
+``not mask >> 16`` are false for every negative int, so no table answers for
+it.  ``tools/bits_micro.py`` times both paths at several widths.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def _walk(mask: int) -> Iterator[int]:
 def bits(mask: int) -> Iterable[int]:
     """The set bit positions of ``mask`` in increasing order, to iterate once.
 
-    Below 2^16 this is a shared tuple from the byte tables; a wider or
-    negative mask gives a generator over its set bits.
+    Below 2^16 this is a tuple from the byte tables, one shared table entry
+    below 2^8; a wider or negative mask gives a generator over its set bits.
     """
     if not mask >> 8:
         return _LO[mask]
