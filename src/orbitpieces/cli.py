@@ -45,7 +45,8 @@ from .transforms import (
 
 
 # The `topology` listing refuses a topology with more distinct minimal
-# neighbourhoods than this: its opens could number 2^k.
+# neighbourhoods than this, to bound the output: its opens could number 2^k,
+# each written out in full.
 MAX_LISTED_NEIGHBORHOODS = 16
 
 # `generate --template cyclic` refuses orders above this: Z/n's document holds
@@ -238,7 +239,7 @@ def _cmd_topology(args) -> int:
             f"listing its opens (up to 2^{k} sets) is refused above "
             f"{MAX_LISTED_NEIGHBORHOODS}"
         )
-    opens = sorted(topo.opens)
+    opens = list(topo.opens)
     payload = {
         "ground": to_list(ground),
         "family": [to_list(s) for s in fam],

@@ -4,7 +4,9 @@ A finite topology is stored as the minimal neighbourhood N(y) of each ground
 point y (Alexandrov): N(y) is the intersection of all subbasis members
 containing y (the ground set if there are none), a set is open exactly when it
 contains N(y) for each of its points, and the opens are the unions of minimal
-neighbourhoods.  The explicit family of opens is built only when read.
+neighbourhoods.  The family of opens is never stored: ``FiniteTopology.opens``
+is a read-only set view that answers membership from the neighbourhoods and
+lists the opens in increasing order, at most 2^12 of them held at a time.
 
 The refined family of a point x at level α collects the basic opens together
 with every piece B_β(x', U, V) for 1 ≤ β < α and x' in the orbit of x; the
@@ -16,9 +18,10 @@ with the relativized family enumeration taken verbatim.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 from .bits import bits, to_list, universe
 from .gspace import (
@@ -31,25 +34,98 @@ from .gspace import (
 from .scott import _BIT_BYTES, STABLE, PieceTable, analyze, piece
 
 
+# An open-set listing branches on ground points until at most this many are
+# undecided, then builds that branch's opens (at most 2^12) in one piece.
+_CHUNK_POINTS = 12
+
+
+def _is_open(ground: int, minimal: tuple[int, ...], s: int) -> bool:
+    if s & ~ground:
+        return False
+    return all(not n & ~s for y, n in zip(bits(ground), minimal) if s >> y & 1)
+
+
+class OpenSets(Set):
+    """The opens of a finite topology as a read-only set that stores none of them.
+
+    ``s in opens`` is ``is_open(s)``; a value that is not a non-negative int
+    is not in it.  Iteration yields the opens in increasing integer order,
+    each once.  It decides the ground points from the highest down, trying
+    "p excluded" before "p included": including p adds N(p), excluding p
+    excludes every z with p ∈ N(z).  Neither can conflict with an earlier
+    choice, because z ∈ N(y) implies N(z) ⊆ N(y): N(y) is an open holding z
+    and N(z) is the least one.  So an undecided p has no excluded point in
+    N(p) and no included z with p ∈ N(z); the included points stay a union
+    of neighbourhoods and the excluded ones stay closed upward.  An open of
+    the "excluded" branch lacks p and agrees with every open of the
+    "included" branch above p, so it is the smaller.  Once at most
+    ``_CHUNK_POINTS`` points are undecided, the branch's opens are the
+    included set joined with every union of the undecided points' N(q),
+    built by set doubling and sorted.  ``len`` counts those chunks once per
+    view.
+
+    The view keeps ``ground`` and ``minimal``, not the topology, so it makes
+    no reference cycle.
+    """
+
+    __slots__ = ("ground", "minimal", "_len")
+
+    def __init__(self, ground: int, minimal: tuple[int, ...]):
+        self.ground = ground
+        self.minimal = minimal
+        self._len = None
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __contains__(self, s) -> bool:
+        return isinstance(s, int) and _is_open(self.ground, self.minimal, s)
+
+    def __iter__(self):
+        return chain.from_iterable(map(sorted, self._chunks()))
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = sum(map(len, self._chunks()))
+        return self._len
+
+    def _chunks(self):
+        """The opens as sets, each below every member of the next."""
+        ground = self.ground
+        nbhd = dict(zip(bits(ground), self.minimal))
+        up = dict.fromkeys(nbhd, 0)  # up[p]: the z with p ∈ N(z)
+        for z, n in nbhd.items():
+            for p in bits(n):
+                up[p] |= 1 << z
+        stack = [(0, 0)]  # (included, excluded)
+        while stack:
+            inc, exc = stack.pop()
+            free = ground & ~(inc | exc)
+            if free.bit_count() <= _CHUNK_POINTS:
+                opens = {inc}
+                for q in bits(free):
+                    opens |= set(map(nbhd[q].__or__, opens))
+                yield opens
+            else:
+                p = free.bit_length() - 1
+                stack.append((inc | nbhd[p], exc))
+                stack.append((inc, exc | up[p]))
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
     ground: int
     minimal: tuple[int, ...]  # N(y) for the ground points y in increasing order
 
     def is_open(self, s: int) -> bool:
-        if s & ~self.ground:
-            return False
-        return all(
-            not n & ~s for y, n in zip(bits(self.ground), self.minimal) if s >> y & 1
-        )
+        return _is_open(self.ground, self.minimal, s)
 
     @cached_property
-    def opens(self) -> frozenset[int]:
-        """Every open set: at most 2^k sets for k distinct minimal neighbourhoods."""
-        opens = {0, self.ground}
-        for n in set(self.minimal):
-            opens |= {o | n for o in opens}
-        return frozenset(opens)
+    def opens(self) -> OpenSets:
+        """Every open set (at most 2^k for k distinct minimal neighbourhoods),
+        as a read-only view that lists them on demand; see ``OpenSets``."""
+        return OpenSets(self.ground, self.minimal)
 
 
 def minimal_neighborhood(ground: int, family, y: int) -> int:

@@ -42,6 +42,7 @@ from orbitpieces.harness import (
     serialize_analysis,
     serialize_instance,
 )
+from orbitpieces.scott import PieceTable, analyze
 
 from test_scott_reference import NON_CLOSED_SEEDS, _non_closed
 
@@ -521,3 +522,75 @@ def test_hist_logs_a_translated_cell_without_the_translated_point(monkeypatch):
     monkeypatch.setattr(harness, "translate_set", _flip_every_fifth(harness.translate_set, 2))
     log = run_oracles(make_random(1, strict=True), trials=8)
     assert ("hist", "piece-equivariance") in {(e["suite"], e["check"]) for e in log}
+
+
+def _corrupted(table, edit=None, stabilization=None):
+    """A fresh ``PieceTable`` with ``table``'s levels, which ``edit`` may
+    change in place; a raised ``stabilization`` repeats the last level."""
+    levels = [[list(blocks) for blocks in level] for level in table.levels]
+    keys = list(table.point_keys)
+    if edit is not None:
+        edit(levels)
+    if stabilization is not None:
+        pad = stabilization - table.stabilization
+        levels += [levels[-1]] * pad
+        keys += [keys[-1]] * pad
+    else:
+        stabilization = table.stabilization
+    return PieceTable(table.instance, table.cells, table.cell_orbits, levels, keys,
+                      table.signatures, stabilization)
+
+
+def _merge_first_two(blocks):
+    (pid, a), (_, b), *rest = blocks
+    blocks[:] = [(pid, a | b), *rest]
+
+
+def _repeat_first_pid(blocks):
+    (pid, a), (_, b), *rest = blocks
+    blocks[:] = [(pid, a), (pid, b), *rest]
+
+
+def _drop_top_point_of_largest(blocks):
+    j = max(range(len(blocks)), key=lambda j: blocks[j][1].bit_count())
+    pid, mask = blocks[j]
+    blocks[j] = (pid, mask ^ 1 << mask.bit_length() - 1)
+
+
+# make_random(4): 10 points, 14 cells, stabilization 2 (bound 140), two
+# level-1 blocks in the top cell and in cell 0.  Each mutant corrupts the
+# stored table, which no kernel mutant reaches; ``lv[-1]`` is the stable
+# level and ``lv[0][-1]`` the top cell at level 1.
+TABLE_MUTANTS = {
+    "merge-top-cell-level-1": (
+        lambda lv: _merge_first_two(lv[0][-1]), None,
+        {("phar", "canonical-pattern-partition")}),
+    "merge-cell-0-stable-level": (
+        lambda lv: _merge_first_two(lv[-1][0]), None,
+        {("phar", "levels-refine"), ("phar", "stable-level-fixed")}),
+    "repeat-pid": (
+        lambda lv: _repeat_first_pid(lv[0][0]), None,
+        {("phar", "piece-id-collision-in-cell")}),
+    "drop-point": (
+        lambda lv: _drop_top_point_of_largest(lv[-1][-1]), None,
+        {("hist", "pieces-partition-cell")}),
+    "stabilization-past-bound": (
+        None, 10 * 14 + 1,
+        {("phar", "stabilization-bound")}),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_MUTANTS)
+def test_stored_table_checks_fire_on_a_corrupted_table(name):
+    edit, stabilization, expected = TABLE_MUTANTS[name]
+    table = analyze(make_random(4))
+    assert (table.instance.size, len(table.cells), table.stabilization) == (10, 14, 2)
+    for suite in ("phar", "hist"):
+        assert not run_oracles(table.instance, suite, trials=8, table=table)
+    mutant = _corrupted(table, edit, stabilization)
+    fired = set()
+    for suite in ("phar", "hist"):
+        log = run_oracles(table.instance, suite, trials=8, table=mutant)
+        assert json.loads(canonical_json(log)) == log
+        fired |= {(e["suite"], e["check"]) for e in log}
+    assert expected <= fired

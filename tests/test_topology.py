@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitpieces.bits import is_subset, to_list, universe
+from orbitpieces.bits import is_subset, mask_of, to_list, universe
 from orbitpieces import gspace
 from orbitpieces.gspace import NAMED_INSTANCES, InstanceError, make_random, named_instance, orbit
 from orbitpieces.scott import STABLE, analyze, piece, scott_rank
@@ -325,3 +328,82 @@ def test_relative_pieces_refuses_more_than_max_cells(monkeypatch):
     monkeypatch.setattr(gspace, "MAX_CELLS", 80)
     with pytest.raises(InstanceError, match="27 U-members and 3 V-members, 81 cells; at most 80"):
         relative_pieces(table, 0, 3, 1, 1, 1, 0)
+
+
+def _doubling_opens(topo) -> frozenset[int]:
+    """The opens by the doubling closure over the distinct neighbourhoods,
+    the reference the listed view is compared against."""
+    opens = {0, topo.ground}
+    for n in set(topo.minimal):
+        opens |= {o | n for o in opens}
+    return frozenset(opens)
+
+
+def _random_topologies(count: int):
+    rng = random.Random("topology:opens-view")
+    for _ in range(count):
+        ground = mask_of(rng.sample(range(16), rng.randint(0, 14)))
+        family = [rng.getrandbits(16) for _ in range(rng.randint(0, 5))]
+        yield generate_topology(ground, family)
+
+
+def _named_refined_topologies():
+    for key in NAMED_INSTANCES:
+        t = analyze(named_instance(key))
+        for x in range(t.instance.size):
+            for alpha in [*range(1, t.stabilization + 2), STABLE]:
+                yield refined_space(t, x, alpha)[1]
+
+
+def test_opens_view_matches_the_doubling_closure():
+    topologies = [*_random_topologies(300), *_named_refined_topologies()]
+    assert max(t.ground.bit_count() for t in topologies) == 14
+    for topo in topologies:
+        ref = _doubling_opens(topo)
+        view = topo.opens
+        listed = list(view)
+        assert listed == sorted(ref)
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+        assert len(view) == len(ref) == len(listed)
+        ground = topo.ground
+        sub = ground
+        while True:
+            assert (sub in view) == (sub in ref)
+            if not sub:
+                break
+            sub = (sub - 1) & ground
+        # only non-negative ints are members: 0.0 == 0 and 0 is open
+        for value in (-1, -1 - ground, ground | 1 << 16, 0.0, "0", None, []):
+            assert value not in view
+        assert view == ref and ref == view and not view != ref
+        assert view <= ref and ref <= view and view >= ref and ref >= view
+        smaller = ref - {max(ref)}
+        assert smaller < view and view > smaller and smaller <= view
+        assert not view <= smaller and view != smaller and smaller != view
+
+
+def test_opens_view_holds_one_chunk_while_listing():
+    # 2^16 opens; the frozenset the doubling closure built peaked at 8 MB
+    topo = generate_topology(universe(16), [1 << y for y in range(16)])
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in topo.opens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1 << 16
+    assert peak < 1 << 20
+
+
+def test_opens_view_keeps_no_reference_to_its_topology():
+    topo = generate_topology(0b111, [0b1])
+    view = topo.opens
+    assert topo.opens is view
+    ref = weakref.ref(topo)
+    gc.disable()
+    try:
+        del topo
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert list(view) == [0, 0b1, 0b111]
