@@ -531,12 +531,11 @@ def _corrupted(table, edit=None, stabilization=None):
     keys = list(table.point_keys)
     if edit is not None:
         edit(levels)
-    if stabilization is not None:
-        pad = stabilization - table.stabilization
-        levels += [levels[-1]] * pad
-        keys += [keys[-1]] * pad
-    else:
+    if stabilization is None:
         stabilization = table.stabilization
+    pad = stabilization - table.stabilization
+    levels += [levels[-1]] * pad
+    keys += [keys[-1]] * pad
     return PieceTable(table.instance, table.cells, table.cell_orbits, levels, keys,
                       table.signatures, stabilization)
 
@@ -573,7 +572,7 @@ TABLE_MUTANTS = {
         {("phar", "piece-id-collision-in-cell")}),
     "drop-point": (
         lambda lv: _drop_top_point_of_largest(lv[-1][-1]), None,
-        {("hist", "pieces-partition-cell")}),
+        {("hist", "pieces-partition-cell"), ("hist", "piece-locally-invariant")}),
     "stabilization-past-bound": (
         None, 10 * 14 + 1,
         {("phar", "stabilization-bound")}),

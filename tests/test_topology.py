@@ -380,6 +380,7 @@ def test_opens_view_matches_the_doubling_closure():
         smaller = ref - {max(ref)}
         assert smaller < view and view > smaller and smaller <= view
         assert not view <= smaller and view != smaller and smaller != view
+        assert view & smaller == smaller and view - smaller == {max(ref)}
 
 
 def test_opens_view_holds_one_chunk_while_listing():
